@@ -24,6 +24,7 @@ import numpy as np
 
 from .metric import (
     CubeNode,
+    DagNode,
     FiniteMetricSpace,
     ZoomingDag,
     build_zooming_dag,
@@ -89,25 +90,20 @@ class ParamSchedule:
         log2T = math.log2(T) if T > 1 else 0.0
         self.gamma_coeff = coeff_scale * (2.0 + 4.0 * log2T)
         self.conf_coeff = coeff_scale * (1.0 + 4.0 * log2T)
-        self.history: list = []  # history[t-1] = ParamValues
+        self._t = 0  # last round advanced
         self._running_min = 0.5
 
     def advance(self, t: int, a_size: int) -> ParamValues:
-        if t != len(self.history) + 1:
+        if t != self._t + 1:
             raise ValueError(f"schedule advanced out of order: t={t}")
+        self._t = t
         if self.override is not None:
-            pv = self.override
-        else:
-            beta = min(0.5, raw_param(t, a_size, self.T, self.n_dbl, self.d))
-            beta = min(beta, self._running_min)
-            self._running_min = beta
-            gamma = min(0.5, self.gamma_coeff * a_size * beta)
-            pv = ParamValues(beta=beta, beta_tilde=beta, gamma=gamma, eta=beta)
-        self.history.append(pv)
-        return pv
-
-    def at(self, t: int) -> ParamValues:
-        return self.history[t - 1]
+            return self.override
+        beta = min(0.5, raw_param(t, a_size, self.T, self.n_dbl, self.d))
+        beta = min(beta, self._running_min)
+        self._running_min = beta
+        gamma = min(0.5, self.gamma_coeff * a_size * beta)
+        return ParamValues(beta=beta, beta_tilde=beta, gamma=gamma, eta=beta)
 
 
 # --------------------------------------------------------------------------
@@ -139,29 +135,14 @@ class AlgoConfig:
         return cls(**spec)
 
 
-@dataclass
-class NodeState:
-    """Read-only per-node view (tests and diagnostics; arrays are the truth)."""
-
-    node: object
-    node_id: int
-    g_hat: float
-    s_conf: float
-    log_c_prod: float
-    tau0: int
-    mass: float
-    last_pi: float
-
-
-@dataclass
-class ConfTerms:
-    conf_tot: float  # 1/beta_t + S_conf
-    conf_inst: float  # beta_tilde_t + beta_t / pi_t(u)
-
-
 class AlgState:
     """One run's mutable state.  Confined to a single sequential execution;
-    run independent seeds in separate states."""
+    run independent seeds in separate states.
+
+    `space` is a cube dimension d, a FiniteMetricSpace or ZoomingDag, or a
+    (K, d) array of fixed arms.  Each fixed arm is a zero-radius node with
+    no children, so the zoom test never passes and A_t stays all K arms.
+    """
 
     def __init__(self, space, T: int, config: AlgoConfig):
         if T < 1:
@@ -175,6 +156,12 @@ class AlgState:
             self.kind = "cube"
             self.d = float(space)
             self.n_dbl = 2**space
+        elif isinstance(space, np.ndarray):
+            if space.ndim != 2 or len(space) == 0:
+                raise ValueError(f"arm array must be (K, d), got {space.shape}")
+            self.kind = "arms"
+            self.d = float(space.shape[1])
+            self.n_dbl = 2 ** space.shape[1]
         else:
             if isinstance(space, FiniteMetricSpace):
                 space = build_zooming_dag(
@@ -184,12 +171,9 @@ class AlgState:
             if not isinstance(space, ZoomingDag):
                 raise TypeError(f"unsupported space {type(space)!r}")
             self.kind = "dag"
-            self.d = float(config.d) if config.d is not None else 1.0
-            self.n_dbl = (
-                config.n_dbl
-                if config.n_dbl is not None
-                else doubling_constant(space.space).value
-            )
+            self.d = 1.0
+            if config.n_dbl is None:
+                self.n_dbl = doubling_constant(space.space).value
         if config.d is not None:
             self.d = float(config.d)
         if config.n_dbl is not None:
@@ -229,6 +213,13 @@ class AlgState:
 
     def _initial_nodes(self):
         h = self.config.start_height
+        if self.kind == "arms":
+            if h != 0:
+                raise ValueError("a fixed arm set has no level below height 0")
+            # one zero-radius, childless node per arm, all of equal weight
+            return [(DagNode(node_id=(0, k), center_point=k, height=0,
+                             action_radius=0.0, arm=tuple(arm)), 0.0)
+                    for k, arm in enumerate(self.space)]
         if self.kind == "cube":
             if h == 0:
                 return [(cube_root(int(self.d)), 0.0)]
@@ -285,27 +276,6 @@ class AlgState:
     @property
     def n_active(self) -> int:
         return len(self.nodes)
-
-    def node_states(self) -> list:
-        return [
-            NodeState(
-                node=self.nodes[i],
-                node_id=self.ids[i],
-                g_hat=float(self.g_hat[i]),
-                s_conf=float(self.s_conf[i]),
-                log_c_prod=float(self.log_c_prod[i]),
-                tau0=self.trace.node_table[self.ids[i]].tau0,
-                mass=float(self.mass[i]),
-                last_pi=float(self.last_pi[i]),
-            )
-            for i in range(self.n_active)
-        ]
-
-    def conf_terms(self, i: int, pv: ParamValues) -> ConfTerms:
-        return ConfTerms(
-            conf_tot=1.0 / pv.beta + float(self.s_conf[i]),
-            conf_inst=pv.beta_tilde + pv.beta / float(self.last_pi[i]),
-        )
 
 
 def init(space, T: int, config: Optional[AlgoConfig] = None) -> AlgState:

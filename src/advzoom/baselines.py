@@ -1,10 +1,10 @@
 """Reference algorithm: EXP3.P over a fixed uniform discretization.
 
-The estimator has the same optimistic shape as the zooming learner's
-(IPS plus a confidence bonus over the sampling probability), but the arm set
-is fixed for the whole run and the parameters are constants tuned for the
-horizon.  Records use the same trace schema, so the evaluation and CLI
-pipelines are shared.
+EXP3.P is the zooming learner's core run on a flat fixed arm set: every
+arm is a zero-radius node that never zooms, and the schedule is a constant
+override tuned for the horizon.  Rounds go through `algo.step`, so the
+distribution, selection, estimate and update are the learner's own; only
+the algorithm tag of the trace differs.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .rng import stream_key, uniform
-from .trace import NodeMeta, RoundRecord, Trace
-
-SELECT_STREAM = "algo.select"  # same stream as the zooming learner
+from . import algo
+from .trace import RoundRecord, Trace
 
 
 def uniform_grid(d: int, eps: float) -> np.ndarray:
@@ -55,66 +53,28 @@ def default_params(K: int, T: int) -> Exp3PParams:
         beta=min(0.5, math.sqrt(lg / (K * T))),
         gamma=gamma,
         eta=min(0.5, gamma / K),
-        conf_scale=1.0,
     )
 
 
-class Exp3PState:
+class Exp3PState(algo.AlgState):
+    """The learner's state over the arm rows, zooming off, constant params."""
+
     def __init__(self, arms: np.ndarray, T: int, seed: int = 0,
                  params: Optional[Exp3PParams] = None,
                  record_state: bool = False):
         arms = np.atleast_2d(np.asarray(arms, dtype=np.float64))
-        self.arms = arms
-        self.K = len(arms)
-        self.T = T
-        self.t = 1
-        self.params = params or default_params(self.K, T)
-        self.g_hat = np.zeros(self.K)
-        self.record_state = record_state
-        self.select_key = stream_key(seed, SELECT_STREAM)
-        self.trace = Trace(
-            algorithm="exp3p_uniform", T=T, d=arms.shape[1],
-            n_dbl=2 ** arms.shape[1], seed=seed, space_kind="arms",
-        )
-        for k in range(self.K):
-            self.trace.add_node(
-                NodeMeta(node_id=k, parent_id=None, height=0, scale=0.0,
-                         tau0=1, arm=tuple(arms[k]), log_c_prod=0.0)
-            )
-
-
-def exp3p_distribution(state: Exp3PState) -> np.ndarray:
-    p = state.params
-    w_log = p.eta * state.g_hat
-    w = np.exp(w_log - w_log.max())
-    w /= w.sum()
-    return (1.0 - p.gamma) * w + p.gamma / state.K
+        params = params or default_params(len(arms), T)
+        override = algo.ParamValues(params.beta, params.beta, params.gamma,
+                                    params.eta)
+        super().__init__(arms, T, algo.AlgoConfig(
+            seed=seed, record_state=record_state, zoom_enabled=False,
+            param_override=override))
+        self.conf_coeff = params.conf_scale
+        self.trace.algorithm = "exp3p_uniform"
 
 
 def exp3p_step(state: Exp3PState, env) -> RoundRecord:
-    t = state.t
-    if t > state.T:
-        raise RuntimeError(f"horizon exhausted: t={t} > T={state.T}")
-    p = state.params
-    pi = exp3p_distribution(state)
-    u = float(uniform(state.select_key, t))
-    k = min(int(np.searchsorted(np.cumsum(pi), u, side="right")), state.K - 1)
-    arm = tuple(state.arms[k])
-    reward = float(env.reward(t, arm))
-    ghat = p.conf_scale * p.beta / pi
-    ghat[k] += reward / pi[k]
-    state.g_hat += ghat
-    rec = RoundRecord(
-        t=t, node_id=k, arm=arm, reward=reward,
-        beta=p.beta, beta_tilde=p.beta, gamma=p.gamma, eta=p.eta,
-        n_active=state.K,
-        active_ids=tuple(range(state.K)) if state.record_state else None,
-        pi=pi.copy() if state.record_state else None,
-        g_hat=state.g_hat.copy() if state.record_state else None,
-    )
-    state.trace.append(rec)
-    state.t += 1
-    return rec
+    return algo.step(state, env)
 
 
 def exp3p_run(arms, T: int, env, seed: int = 0,

@@ -133,6 +133,12 @@ def _grid_eps_of(cfg: ExperimentConfig, T: int) -> float:
     eps = evaluate.default_grid_eps(d)
     # coarsen until the replay fits the evaluation guard
     while (round(1.0 / eps) + 1) ** d * T > evaluate.MAX_EVALS:
+        if eps >= 1.0:
+            raise ValueError(
+                f"T={T} is too long to evaluate at d={d}: even the grid "
+                f"eps = 1 ({2 ** d} arms) needs more than "
+                f"evaluate.MAX_EVALS={evaluate.MAX_EVALS} reward evaluations"
+            )
         eps *= 2.0
     return eps
 
@@ -230,6 +236,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
     Returns a summary dict with per-seed regrets and total violations.
     """
+    grid_eps = _grid_eps_of(cfg, cfg.horizon)  # fail before any seed runs
     os.makedirs(out_dir, exist_ok=True)
     regrets = []
     total_violations = 0
@@ -239,8 +246,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         T = trace.n_rounds
         trace_path = os.path.join(out_dir, f"trace_seed{seed}.csv")
         trace.write_csv(trace_path)
-        rep = evaluate.regret(trace, environment,
-                              grid_eps=_grid_eps_of(cfg, T))
+        rep = evaluate.regret(trace, environment, grid_eps=grid_eps)
         reg_path = os.path.join(out_dir, f"regret_seed{seed}.json")
         with open(reg_path, "w") as f:
             json.dump(rep.to_dict(), f, indent=1, sort_keys=True)
@@ -293,15 +299,15 @@ def sweep_horizons(cfg: ExperimentConfig, horizons: list, out_dir) -> dict:
     """Mean regret per horizon and the log-log slope with its stderr."""
     if len(horizons) < 3:
         raise ValueError("need at least 3 horizons for a slope fit")
+    grid_eps = [_grid_eps_of(cfg, int(T)) for T in horizons]
     os.makedirs(out_dir, exist_ok=True)
     per_T = []
-    for T in horizons:
+    for T, eps in zip(horizons, grid_eps):
         cfg_T = replace(cfg, T=int(T), rounds=None)
         regs = []
         for seed in cfg.seeds:
             trace, environment, _ = run_one_seed(cfg_T, seed)
-            rep = evaluate.regret(trace, environment,
-                                  grid_eps=_grid_eps_of(cfg_T, int(T)))
+            rep = evaluate.regret(trace, environment, grid_eps=eps)
             regs.append(rep.regret)
         per_T.append({"T": int(T), "mean_regret": float(np.mean(regs)),
                       "std_regret": float(np.std(regs))})

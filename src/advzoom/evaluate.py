@@ -279,18 +279,6 @@ class Violation:
     detail: str
 
 
-def inherited_diameter(trace: Trace, node_id: int, t: int) -> float:
-    """Sum over rounds tau <= t of the diameter of the node's active
-    ancestor at tau, read off the recorded lineage."""
-    total = 0.0
-    for meta in trace.lineage(node_id):
-        if meta.tau0 > t:
-            break
-        end = min(t, meta.tau1 if meta.tau1 is not None else t)
-        total += (end - meta.tau0 + 1) * meta.scale
-    return total
-
-
 def monitor(trace: Trace, tol: float = 1e-9) -> list:
     """Re-verify every structural property of a run from its snapshots.
 

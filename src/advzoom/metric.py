@@ -221,7 +221,11 @@ def greedy_cover(space: FiniteMetricSpace, eps: float) -> list:
 
 @dataclass
 class DagNode:
-    """Ball node of the zooming DAG: radius 2**-height around a center point."""
+    """Ball node around a center point, of radius `action_radius`.
+
+    The radius is 2**-height in a zooming DAG and 0 for a fixed arm, which
+    is a childless node of a flat arm set (see algo.AlgState).
+    """
 
     node_id: tuple  # (height, center point index)
     center_point: int

@@ -23,7 +23,7 @@ class NodeMeta:
     node_id: int
     parent_id: Optional[int]
     height: int
-    scale: float  # L(u): diameter for cubes, 2**-height for DAG balls
+    scale: float  # L(u): cube diameter, DAG ball radius, 0 for a fixed arm
     tau0: int  # activation round
     arm: tuple  # representative arm actually played for this node
     log_c_prod: float
@@ -105,16 +105,6 @@ class Trace:
             for nid in rec.zoomed:
                 out.append((rec.t, nid))
         return out
-
-    def lineage(self, node_id: int) -> list:
-        """Ancestor path root..node as NodeMeta, using recorded parents."""
-        path = []
-        nid = node_id
-        while nid is not None:
-            meta = self.node_table[nid]
-            path.append(meta)
-            nid = meta.parent_id
-        return list(reversed(path))
 
     # -- CSV ---------------------------------------------------------------
 

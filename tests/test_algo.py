@@ -47,6 +47,19 @@ def test_init_single_root():
         AlgoConfig.from_dict({"seed": 1, "turbo": True})
 
 
+def test_fixed_arm_space_is_flat_and_never_zooms():
+    arms = np.array([[0.2], [0.8]])
+    st = algo.init(arms, 64, AlgoConfig(seed=1))  # zooming left on
+    tr = algo.run(st, ConstEnv(1.0))
+    assert st.kind == "arms" and st.n_active == 2 and tr.zoom_events() == []
+    assert [(m.arm, m.scale, m.log_c_prod) for m in tr.node_table.values()] \
+        == [((0.2,), 0.0, 0.0), ((0.8,), 0.0, 0.0)]
+    with pytest.raises(ValueError, match="height 0"):
+        algo.init(arms, 8, AlgoConfig(start_height=1))
+    with pytest.raises(ValueError, match="must be"):
+        algo.init(arms[:, 0], 8)
+
+
 # -- parameter schedule --------------------------------------------------
 
 
@@ -182,22 +195,6 @@ def test_update_accumulates():
 
 
 # -- zoom rule ---------------------------------------------------------------
-
-
-def test_conf_terms_diagnostics():
-    st = fresh(T=16)
-    st.last_pi = np.array([0.25])
-    st.s_conf = np.array([3.0])
-    pv = ParamValues(0.1, 0.2, 0.5, 0.1)
-    ct = st.conf_terms(0, pv)
-    assert ct.conf_tot == pytest.approx(1 / 0.1 + 3.0)
-    assert ct.conf_inst == pytest.approx(0.2 + 0.1 / 0.25)
-    assert ct.conf_tot >= 1 / pv.beta
-    assert ct.conf_inst >= pv.beta_tilde
-    views = st.node_states()
-    assert len(views) == 1
-    assert views[0].s_conf == 3.0 and views[0].tau0 == 1
-    assert views[0].node.center == (0.5,)
 
 
 def test_zoom_check_instantaneous_part():
@@ -452,6 +449,16 @@ def test_coeff_scale_one_is_bit_identical(tmp_path):
     assert digests == [PAPER_SCHEDULE_CSV_SHA256] * 2
 
 
+def test_schedule_rejects_out_of_order_rounds():
+    sched = algo.ParamSchedule(64, 2, 1)
+    sched.advance(1, 1)
+    with pytest.raises(ValueError, match="out of order"):
+        sched.advance(3, 1)
+    sched.advance(2, 1)
+    with pytest.raises(ValueError, match="out of order"):
+        sched.advance(2, 1)
+
+
 def test_coeff_scale_scales_both_coefficients_exactly():
     T, c = 2**10, 0.25
     base = algo.ParamSchedule(T, 2, 1)
@@ -465,7 +472,7 @@ def test_coeff_scale_scales_both_coefficients_exactly():
         assert (pv_c.beta, pv_c.beta_tilde, pv_c.eta) == \
             (pv.beta, pv.beta_tilde, pv.eta)
         assert pv_c.gamma == min(0.5, scaled.gamma_coeff * a * pv.beta)
-    assert scaled.at(len(sizes)).gamma < 0.5 == base.at(len(sizes)).gamma
+    assert pv_c.gamma < 0.5 == pv.gamma  # the last round's values
     st = fresh(T=16, coeff_scale=c)  # conf coefficient c * (1 + 4*4)
     assert st.conf_coeff == c * 17
     pv = ParamValues(0.1, 0.1, 0.5, 0.1)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from advzoom.baselines import (
     exp3p_step,
     uniform_grid,
 )
-from advzoom.env import MeanFunction, StochasticEnv
+from advzoom.env import MeanFunction, StochasticEnv, env_from_spec
 from advzoom.metric import FiniteMetricSpace
 
 
@@ -101,3 +102,25 @@ def test_trace_schema_shared():
     assert tr.algorithm == "exp3p_uniform"
     assert [r.t for r in tr.rounds] == list(range(1, 17))
     assert all(r.n_active == 2 and r.zoomed == () for r in tr.rounds)
+
+
+# SHA-256 of EXP3.P trace CSVs written before the baseline ran through the
+# zooming learner's step; the shared core must reproduce them byte for byte
+EXP3P_CSV_SHA256 = {
+    (1, 2048): "6dea549d6233e9871745191a7f5fc8c812eab2e7a542a4fba9e657b448e16cf3",
+    (2, 1024): "3ec874a322523d1ee17b3179cc90bb86d6f725597fd59095e4ed001b78292346",
+}
+
+
+@pytest.mark.parametrize("d, T, spec, K", [
+    (1, 2048, {"kind": "distance_to_target"}, 13),
+    (2, 1024, {"kind": "distance_to_target", "target": [0.618, 0.382]}, 36),
+])
+def test_exp3p_trace_csv_pinned(tmp_path, d, T, spec, K):
+    arms = uniform_grid(d, default_grid_eps(T, d))
+    assert len(arms) == K
+    tr = exp3p_run(arms, T, env_from_spec(spec, T, 3), seed=3)
+    path = tmp_path / "trace.csv"
+    tr.write_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        EXP3P_CSV_SHA256[(d, T)]

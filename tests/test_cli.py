@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from advzoom import cli
+from advzoom import cli, evaluate
 from advzoom.cli import ExperimentConfig, load_config
 
 
@@ -217,6 +217,24 @@ def test_sweep_report(tmp_path):
     assert 0.0 < rep["slope"] < 1.0
     with pytest.raises(ValueError, match="3 horizons"):
         cli.sweep_horizons(load_config(path), [128, 256], str(out))
+
+
+@pytest.mark.parametrize("d, T", [(1, 6 * 10**6), (2, 3 * 10**6),
+                                  (1, 2 * 10**7)])
+def test_horizon_beyond_eval_guard_fails_fast(tmp_path, d, T):
+    # even the eps = 1 grid has 2^d arms and 2^d * T > MAX_EVALS; the check
+    # runs before any seed, and before the short first rung of a sweep
+    cfg = ExperimentConfig.from_dict(base_config(
+        T=T, space={"kind": "cube", "d": d}))
+    msg = f"T={T} .* d={d}: .*MAX_EVALS={evaluate.MAX_EVALS}"
+    with pytest.raises(ValueError, match=msg):
+        cli.run_experiment(cfg, str(tmp_path / "run"))
+    with pytest.raises(ValueError, match=msg):
+        cli.sweep_horizons(cfg, [64, 128, T], str(tmp_path / "sweep"))
+    assert not os.listdir(tmp_path)
+    # the longest horizon that fits keeps the eps = 1 grid
+    fits = evaluate.MAX_EVALS // 2**d
+    assert cli._grid_eps_of(cfg, fits) == 1.0
 
 
 def test_audit_verb(tmp_path):

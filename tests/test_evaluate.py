@@ -13,7 +13,6 @@ from advzoom.evaluate import (
     eps_optimal_set,
     gaps_at,
     grid_points,
-    inherited_diameter,
     loglog_slope,
     monitor,
     regret,
@@ -302,24 +301,24 @@ def test_monitor_distribution_checks():
 # -- inherited diameter -------------------------------------------------------
 
 
-def test_inherited_diameter_root_and_child():
-    tr = _two_round_trace(pi2=0.5)
-    assert inherited_diameter(tr, 0, 1) == pytest.approx(1.0)
-    # child: one root round (L=1) plus its own round (L=0.5)
-    assert inherited_diameter(tr, 1, 2) == pytest.approx(1.0 + 0.5)
-    tau0 = 2
-    for t in (2,):
-        expected = (tau0 - 1) * 1.0 + (t - tau0 + 1) * 0.5
-        assert inherited_diameter(tr, 2, t) == pytest.approx(expected)
+def _root_then_child_trace(L):
+    """T=2: the root (L=1) zooms at t=1 into one child of scale L."""
+    tr = Trace(algorithm="adversarial_zooming", T=2, d=1, n_dbl=2, seed=0)
+    tr.add_node(NodeMeta(0, None, 0, 1.0, 1, (0.5,), 0.0, tau1=1,
+                         n_children=1))
+    tr.add_node(NodeMeta(1, 0, 1, L, 2, (0.5,), 0.0))
+    for t, nid in ((1, 0), (2, 1)):
+        tr.append(RoundRecord(t=t, node_id=nid, arm=(0.5,), reward=1.0,
+                              beta=0.5, beta_tilde=0.5, gamma=0.5, eta=0.5,
+                              n_active=1, zoomed=(0,) if t == 1 else (),
+                              active_ids=(nid,), pi=np.array([1.0])))
+    return tr
 
 
-def test_inherited_diameter_bound_on_real_run(tent_env):
-    env = tent_env(seed=10)
-    st = algo.init(1, 512, algo.AlgoConfig(seed=10))
-    tr = algo.run(st, env)
-    log2T = math.log2(512)
-    for rec in tr.rounds[:: 37]:
-        for nid in rec.active_ids:
-            total = inherited_diameter(tr, nid, rec.t)
-            bound = 4 * rec.t * log2T * tr.node_table[nid].scale
-            assert total <= bound + 1e-9
+def test_monitor_inherited_diameter_bound():
+    # the child inherits the root's round: sum L(act) = 1 + L at t=2,
+    # against the bound 4 t log2(T) L = 8 L
+    assert monitor(_root_then_child_trace(0.5)) == []  # 1.5 <= 4
+    violations = monitor(_root_then_child_trace(0.1))  # 1.1 > 0.8
+    assert [(v.check, v.t, v.node_id) for v in violations] == \
+        [("inherited_diameter", 2, 1)]
