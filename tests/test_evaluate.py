@@ -315,10 +315,19 @@ def _root_then_child_trace(L):
     return tr
 
 
-def test_monitor_inherited_diameter_bound():
+def test_inherited_diameter_root_and_child():
     # the child inherits the root's round: sum L(act) = 1 + L at t=2,
     # against the bound 4 t log2(T) L = 8 L
     assert monitor(_root_then_child_trace(0.5)) == []  # 1.5 <= 4
     violations = monitor(_root_then_child_trace(0.1))  # 1.1 > 0.8
     assert [(v.check, v.t, v.node_id) for v in violations] == \
         [("inherited_diameter", 2, 1)]
+
+
+def test_inherited_diameter_bound_on_real_run(tent_env):
+    env = tent_env(seed=10)
+    st = algo.init(1, 512, algo.AlgoConfig(seed=10))
+    tr = algo.run(st, env)
+    # children were activated, so some sums carry inherited rounds
+    assert any(m.parent_id is not None for m in tr.node_table.values())
+    assert [v for v in monitor(tr) if v.check == "inherited_diameter"] == []
