@@ -2,14 +2,16 @@
 
 State per active node is three scalars — the cumulative optimistic estimate
 G_hat, the cumulative confidence sum S_conf, and log c_prod (the log-product
-of child counts along the ancestry) — plus bookkeeping.  Weights are never
-stored: the closed form
+of child counts along the ancestry) — plus bookkeeping: the node itself and
+its trace id.  A node is anything with a `scale` and `children` (cube cell,
+DAG ball or fixed arm); rounds and zooming never ask which kind it is.
+Weights are never stored: the closed form
 
     log w_t(u) = eta_t * G_hat(u) - log_c_prod(u)
 
 reproduces the explicit multiplicative-update-and-split table exactly, and
 is evaluated in log space with max-subtraction each round.  When a node's
-sampling uncertainty drops below its diameter (instantaneous and aggregate
+sampling uncertainty drops below its scale (instantaneous and aggregate
 confidence tests both pass), the node is replaced by its children, each of
 which inherits the parent's scalars by value.
 """
@@ -23,14 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .metric import (
-    CubeNode,
     DagNode,
     FiniteMetricSpace,
     ZoomingDag,
     build_zooming_dag,
-    cube_children,
     cube_level,
-    cube_root,
     doubling_constant,
     representative,
 )
@@ -140,7 +139,7 @@ class AlgState:
     run independent seeds in separate states.
 
     `space` is a cube dimension d, a FiniteMetricSpace or ZoomingDag, or a
-    (K, d) array of fixed arms.  Each fixed arm is a zero-radius node with
+    (K, d) array of fixed arms.  Each fixed arm is a zero-scale node with
     no children, so the zoom test never passes and A_t stays all K arms.
     """
 
@@ -201,9 +200,6 @@ class AlgState:
         self.g_hat = np.zeros(0)
         self.s_conf = np.zeros(0)
         self.log_c_prod = np.zeros(0)
-        self.mass = np.zeros(0)
-        self.last_pi = np.zeros(0)
-        self.scale = np.zeros(0)
         self._next_id = 0
 
         for node, log_cp in self._initial_nodes():
@@ -216,13 +212,11 @@ class AlgState:
         if self.kind == "arms":
             if h != 0:
                 raise ValueError("a fixed arm set has no level below height 0")
-            # one zero-radius, childless node per arm, all of equal weight
+            # one zero-scale, childless node per arm, all of equal weight
             return [(DagNode(node_id=(0, k), center_point=k, height=0,
-                             action_radius=0.0, arm=tuple(arm)), 0.0)
+                             scale=0.0, arm=tuple(arm)), 0.0)
                     for k, arm in enumerate(self.space)]
         if self.kind == "cube":
-            if h == 0:
-                return [(cube_root(int(self.d)), 0.0)]
             nodes = cube_level(int(self.d), h)
             # equal split from the root: log c_prod = h * ln(2^d)
             return [(u, h * math.log(2 ** int(self.d))) for u in nodes]
@@ -230,20 +224,10 @@ class AlgState:
         if h > dag.max_height:
             raise ValueError(f"start_height {h} exceeds DAG height {dag.max_height}")
         level = dag.levels[h]
-        if h == 0:
-            return [(dag.nodes[level[0]], 0.0)]
         # uniform inherited weight across the level (root's equal split,
         # iterated); exact lineage is ambiguous in a DAG, so use level size
         log_cp = math.log(len(level)) if len(level) > 1 else 0.0
         return [(dag.nodes[nid], log_cp) for nid in level]
-
-    def _node_scale(self, node) -> float:
-        return node.diameter if isinstance(node, CubeNode) else node.action_radius
-
-    def _node_children(self, node):
-        if isinstance(node, CubeNode):
-            return cube_children(node)
-        return [self.space.nodes[nid] for nid in node.children]
 
     def _activate(self, node, log_cp, parent_id, tau0,
                   g_hat=0.0, s_conf=0.0) -> int:
@@ -254,9 +238,6 @@ class AlgState:
         self.g_hat = np.append(self.g_hat, g_hat)
         self.s_conf = np.append(self.s_conf, s_conf)
         self.log_c_prod = np.append(self.log_c_prod, log_cp)
-        self.mass = np.append(self.mass, 0.0)
-        self.last_pi = np.append(self.last_pi, np.nan)
-        self.scale = np.append(self.scale, self._node_scale(node))
         arm = representative(node, self.config.repr_policy, self.config.seed)
         if not isinstance(arm, tuple):
             arm = (arm,)
@@ -265,7 +246,7 @@ class AlgState:
                 node_id=nid,
                 parent_id=parent_id,
                 height=node.height,
-                scale=self._node_scale(node),
+                scale=node.scale,
                 tau0=tau0,
                 arm=arm,
                 log_c_prod=log_cp,
@@ -332,16 +313,15 @@ def update(state: AlgState, ghat: np.ndarray, pi: np.ndarray,
            pv: ParamValues) -> None:
     state.g_hat += ghat
     state.s_conf += pv.beta / pi
-    state.mass += pi
-    state.last_pi = pi.copy()
 
 
-def zoom_check(state: AlgState, i: int, pv: ParamValues) -> bool:
-    """Zoom in iff both confidence tests clear the node's scale:
-    instantaneous beta_tilde + beta/pi <= e^L - 1, and aggregate
+def zoom_check(state: AlgState, i: int, pi: np.ndarray,
+               pv: ParamValues) -> bool:
+    """Zoom in iff both confidence tests clear the node's scale L under this
+    round's pi: instantaneous beta_tilde + beta/pi <= e^L - 1, and aggregate
     1/beta + S_conf <= t*L."""
-    L = state.scale[i]
-    inst = pv.beta_tilde + pv.beta / state.last_pi[i]
+    L = state.nodes[i].scale
+    inst = pv.beta_tilde + pv.beta / pi[i]
     if inst > math.expm1(L):
         return False
     tot = 1.0 / pv.beta + state.s_conf[i]
@@ -351,13 +331,12 @@ def zoom_check(state: AlgState, i: int, pv: ParamValues) -> bool:
 def zoom_in(state: AlgState, zoom_idx: list) -> list:
     """Deactivate the flagged nodes, activate their children with the
     parent's scalars inherited by value.  Equal weight split is implicit:
-    each child's log_c_prod grows by ln |c(parent)|."""
+    each child's log_c_prod grows by ln |c(parent)|.  A child already active
+    (DAG balls can share children) is not activated twice."""
     zoomed_ids = []
     keep = np.ones(state.n_active, dtype=bool)
     additions = []  # (node, log_cp, parent_id, g_hat, s_conf)
-    active_dag_ids = (
-        {n.node_id for n in state.nodes} if state.kind == "dag" else None
-    )
+    active = {n.node_id for n in state.nodes}
     for i in zoom_idx:
         node = state.nodes[i]
         if node.height > math.log2(state.T) + 1e-9:
@@ -370,17 +349,16 @@ def zoom_in(state: AlgState, zoom_idx: list) -> list:
         zoomed_ids.append(pid)
         meta = state.trace.node_table[pid]
         meta.tau1 = state.t
-        children = state._node_children(node)
+        children = node.children
         meta.n_children = len(children)
         log_cp = state.log_c_prod[i] + math.log(len(children))
         for child in children:
-            if active_dag_ids is not None:
-                if child.node_id in active_dag_ids:
-                    continue
-                active_dag_ids.add(child.node_id)
+            if child.node_id in active:
+                continue
+            active.add(child.node_id)
             additions.append((child, log_cp, pid, state.g_hat[i], state.s_conf[i]))
 
-    for arr_name in ("g_hat", "s_conf", "log_c_prod", "mass", "last_pi", "scale"):
+    for arr_name in ("g_hat", "s_conf", "log_c_prod"):
         setattr(state, arr_name, getattr(state, arr_name)[keep])
     state.nodes = [n for n, k in zip(state.nodes, keep) if k]
     state.ids = [n for n, k in zip(state.ids, keep) if k]
@@ -395,7 +373,8 @@ def _debug_checks(state: AlgState, pi: np.ndarray, pv: ParamValues) -> None:
     assert abs(pi.sum() - 1.0) <= 1e-12, f"round {t}: sum(pi) != 1"
     assert pi.min() >= pv.gamma / n - 1e-12, f"round {t}: pi below floor"
     conf_tot = 1.0 / pv.beta + state.s_conf
-    bad = conf_tot < (t - 1) * state.scale - 1e-9
+    scale = np.array([nd.scale for nd in state.nodes])
+    bad = conf_tot < (t - 1) * scale - 1e-9
     assert not bad.any(), f"round {t}: zooming invariant violated"
     max_h = 1.0 + math.log2(state.T) + 1e-9
     assert all(nd.height <= max_h for nd in state.nodes), f"round {t}: height"
@@ -426,7 +405,8 @@ def step(state: AlgState, env) -> RoundRecord:
 
     zoomed = []
     if state.config.zoom_enabled:
-        zoom_idx = [i for i in range(n_before) if zoom_check(state, i, pv)]
+        zoom_idx = [i for i in range(n_before)
+                    if zoom_check(state, i, pi, pv)]
         if zoom_idx:
             zoomed = zoom_in(state, zoom_idx)
 
@@ -477,23 +457,12 @@ class _OffsetEnv:
         return self.env.reward(t + self.offset, arm)
 
 
-@dataclass
-class AnytimeResult:
-    phases: list  # one Trace per phase, horizons 1, 2, 4, ...
-    total_rounds: int
-
-    def rewards(self) -> np.ndarray:
-        return np.concatenate([tr.rewards() for tr in self.phases])
-
-    def phase_lengths(self) -> list:
-        return [tr.n_rounds for tr in self.phases]
-
-
-def run_anytime(space, config: AlgoConfig, rounds: int, env) -> AnytimeResult:
+def run_anytime(space, config: AlgoConfig, rounds: int, env) -> list:
     """Doubling trick: restart with horizon 2^i per phase i = 0, 1, 2, ...
 
     Each phase gets fresh state and a phase-derived selection seed; the
-    final phase is cut short when the round budget runs out.
+    final phase is cut short when the round budget runs out.  Returns one
+    Trace per phase.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -511,7 +480,7 @@ def run_anytime(space, config: AlgoConfig, rounds: int, env) -> AnytimeResult:
         phases.append(state.trace)
         done += budget
         i += 1
-    return AnytimeResult(phases=phases, total_rounds=done)
+    return phases
 
 
 # --------------------------------------------------------------------------

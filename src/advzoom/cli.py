@@ -20,7 +20,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -54,15 +54,9 @@ class ExperimentConfig:
     emit_curves: bool = False
     baseline: dict = field(default_factory=dict)  # exp3p: {"grid_eps": ...}
 
-    _KEYS = {
-        "algorithm", "space", "env", "seeds", "T", "rounds", "grid_eps",
-        "record_pi", "debug_invariants", "repr_policy", "emit_curves",
-        "baseline",
-    }
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - cls._KEYS
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key in ("algorithm", "space", "env", "seeds"):
@@ -148,12 +142,12 @@ def _grid_eps_of(cfg: ExperimentConfig, T: int) -> float:
 # --------------------------------------------------------------------------
 
 
-def _merge_anytime(result: algo.AnytimeResult) -> Trace:
+def _merge_anytime(phases: list) -> Trace:
     """Concatenate phase traces: global round numbers, offset node ids."""
-    first = result.phases[0]
+    first = phases[0]
     merged = Trace(
         algorithm="adversarial_zooming",
-        T=result.total_rounds,
+        T=sum(tr.n_rounds for tr in phases),
         d=first.d,
         n_dbl=first.n_dbl,
         seed=first.seed,
@@ -161,7 +155,7 @@ def _merge_anytime(result: algo.AnytimeResult) -> Trace:
     )
     t_base = 0
     id_base = 0
-    for tr in result.phases:
+    for tr in phases:
         for meta in tr.node_table.values():
             shifted = replace(
                 meta,
@@ -206,8 +200,8 @@ def run_one_seed(cfg: ExperimentConfig, seed: int):
     )
     space = _space_of(cfg)
     if cfg.rounds is not None:
-        result = algo.run_anytime(space, acfg, cfg.rounds, environment)
-        return _merge_anytime(result), environment, result.phases
+        phases = algo.run_anytime(space, acfg, cfg.rounds, environment)
+        return _merge_anytime(phases), environment, phases
     state = algo.init(space, cfg.T, acfg)
     trace = algo.run(state, environment)
     return trace, environment, [trace]

@@ -88,12 +88,6 @@ class MeanFunction:
             return len(t) if isinstance(t, (tuple, list)) else 1
         return 1
 
-    @property
-    def peak_value(self) -> float:
-        if self.kind == "custom_table":
-            return float(np.max(self.params["ys"]))
-        return float(self.params["peak"])
-
     def support(self) -> tuple:
         return tuple(self.params.get("support", (0.0, 1.0)))
 
@@ -315,8 +309,6 @@ def make_combined(instances: list, schedule, subsets: list, baselines: list,
 # --------------------------------------------------------------------------
 # Dynamic pricing
 # --------------------------------------------------------------------------
-
-VALUE_KINDS = ("uniform", "target")
 
 
 def _target_params(params: dict) -> tuple:

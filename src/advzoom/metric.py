@@ -8,15 +8,17 @@ Two hierarchies are provided:
 * a zooming DAG over an arbitrary finite metric space, built level by level
   from greedy coverings, for use when the action set is not a cube.
 
-Plus the covering utilities both constructions rest on: greedy epsilon-covers
-and a brute-force doubling-constant estimate.
+Nodes of both hierarchies answer `scale` (cube diameter, ball radius) and
+`children` (the nodes one level down), which is all the zooming learner asks
+of them.  Plus the covering utilities both constructions rest on: greedy
+epsilon-covers and a brute-force doubling-constant estimate.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,18 +35,26 @@ CubeId = tuple
 
 @dataclass(frozen=True)
 class CubeNode:
-    """Axis-parallel dyadic cube: side 2**-height, sup-diameter = side."""
+    """Axis-parallel dyadic cube: side 2**-height, sup-diameter = side.
+
+    As a zooming node its scale is its diameter and its children are its
+    2^d quadrants (see cube_children).
+    """
 
     node_id: CubeId
     center: tuple
     half_width: float
     height: int
-    parent: Optional[CubeId] = None
-    quadrant_index: int = 0
 
     @property
     def diameter(self) -> float:
         return 2.0 * self.half_width
+
+    scale = diameter
+
+    @property
+    def children(self) -> list:
+        return cube_children(self)
 
     @property
     def dim(self) -> int:
@@ -52,9 +62,6 @@ class CubeNode:
 
     def low_corner(self) -> tuple:
         return tuple(c - self.half_width for c in self.center)
-
-    def n_children(self) -> int:
-        return 1 << self.dim
 
 
 def cube_root(d: int) -> CubeNode:
@@ -89,8 +96,6 @@ def cube_children(u: CubeNode) -> list:
                 center=center,
                 half_width=h,
                 height=u.height + 1,
-                parent=u.node_id,
-                quadrant_index=q,
             )
         )
     return children
@@ -102,9 +107,6 @@ def cube_level(d: int, height: int) -> list:
     for _ in range(height):
         nodes = [v for u in nodes for v in cube_children(u)]
     return nodes
-
-
-REPR_POLICIES = ("center", "low_endpoint", "seeded_uniform")
 
 
 def representative(u, policy: str = "center", seed: int = 0) -> tuple:
@@ -155,8 +157,14 @@ class FiniteMetricSpace:
             raise ValueError("nonzero diagonal")
         if not np.array_equal(dist, dist.T):
             raise ValueError("distance matrix not symmetric")
-        # min over k of d(i,k)+d(k,j) must not beat d(i,j)
-        via = np.min(dist[:, :, None] + dist[None, :, :], axis=1)
+        # min over k of d(i,k)+d(k,j) must not beat d(i,j); rows i go in
+        # blocks of about 2^21 sums, so memory stays O(n^2) at any n and a
+        # small space is checked in a single block
+        rows = max(1, (1 << 21) // (n * n))
+        via = np.concatenate([
+            np.min(dist[i:i + rows, :, None] + dist[None, :, :], axis=1)
+            for i in range(0, n, rows)
+        ])
         if np.any(via < dist - 1e-12):
             i, j = np.unravel_index(np.argmin(via - dist), dist.shape)
             raise ValueError(
@@ -221,23 +229,20 @@ def greedy_cover(space: FiniteMetricSpace, eps: float) -> list:
 
 @dataclass
 class DagNode:
-    """Ball node around a center point, of radius `action_radius`.
+    """Ball node around a center point; its scale is the ball's radius.
 
-    The radius is 2**-height in a zooming DAG and 0 for a fixed arm, which
-    is a childless node of a flat arm set (see algo.AlgState).
+    The scale is 2**-height in a zooming DAG and 0 for a fixed arm, which
+    is a childless node of a flat arm set (see algo.AlgState).  `children`
+    holds the child DagNode objects of the next level.
     """
 
     node_id: tuple  # (height, center point index)
     center_point: int
     height: int
-    action_radius: float
+    scale: float
     arm: object  # the center's point value, played as the representative
-    ball: frozenset = frozenset()  # point indices within action_radius
-    children: list = field(default_factory=list)  # child node ids
-    parents: list = field(default_factory=list)
-
-    def n_children(self) -> int:
-        return len(self.children)
+    ball: frozenset = frozenset()  # point indices within distance scale
+    children: list = field(default_factory=list, repr=False, compare=False)
 
 
 @dataclass
@@ -246,10 +251,6 @@ class ZoomingDag:
     max_height: int
     nodes: dict  # node id -> DagNode
     levels: list  # levels[h] = list of node ids
-
-    @property
-    def root_id(self):
-        return self.levels[0][0]
 
 
 def build_zooming_dag(space: FiniteMetricSpace, max_height: int) -> ZoomingDag:
@@ -276,7 +277,7 @@ def build_zooming_dag(space: FiniteMetricSpace, max_height: int) -> ZoomingDag:
                 node_id=nid,
                 center_point=c,
                 height=h,
-                action_radius=r,
+                scale=r,
                 arm=space.points[c],
                 ball=ball,
             )
@@ -285,11 +286,8 @@ def build_zooming_dag(space: FiniteMetricSpace, max_height: int) -> ZoomingDag:
     for h in range(max_height):
         for uid in levels[h]:
             u = nodes[uid]
-            for vid in levels[h + 1]:
-                v = nodes[vid]
-                if u.ball & v.ball:
-                    u.children.append(vid)
-                    v.parents.append(uid)
+            u.children = [nodes[vid] for vid in levels[h + 1]
+                          if u.ball & nodes[vid].ball]
     if len(levels[0]) != 1:
         # a (2*1)-cover of a diameter-<=1 space is a single ball
         raise AssertionError("root level should be a single node")
@@ -306,13 +304,14 @@ def check_dag_properties(dag: ZoomingDag) -> list:
             u = dag.nodes[uid]
             if h < dag.max_height:
                 covered = set()
-                for vid in u.children:
-                    covered |= dag.nodes[vid].ball
+                for v in u.children:
+                    covered |= v.ball
                 if not u.ball <= covered:
                     bad.append(f"(a) ball of {uid} not covered by children")
-                for vid in u.children:
-                    if not (u.ball & dag.nodes[vid].ball):
-                        bad.append(f"(b) {uid} does not overlap child {vid}")
+                for v in u.children:
+                    if not (u.ball & v.ball):
+                        bad.append(f"(b) {uid} does not overlap child "
+                                   f"{v.node_id}")
         for i, uid in enumerate(level):
             for vid in level[i + 1:]:
                 a = dag.nodes[uid].center_point
@@ -326,15 +325,15 @@ def action_span_radius(dag: ZoomingDag, node_id) -> float:
     """Max distance from a node's center to any point in its sub-DAG balls."""
     u = dag.nodes[node_id]
     seen = set()
-    stack = [node_id]
+    stack = [u]
     pts = set()
     while stack:
-        nid = stack.pop()
-        if nid in seen:
+        v = stack.pop()
+        if v.node_id in seen:
             continue
-        seen.add(nid)
-        pts |= dag.nodes[nid].ball
-        stack.extend(dag.nodes[nid].children)
+        seen.add(v.node_id)
+        pts |= v.ball
+        stack.extend(v.children)
     return float(max(dag.space.dist[u.center_point][p] for p in pts))
 
 

@@ -1,9 +1,16 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import advzoom
 from advzoom.metric import (
+    DagNode,
     FiniteMetricSpace,
     action_span_radius,
     build_zooming_dag,
@@ -51,8 +58,9 @@ def test_cube_children_quadrants():
     kids = cube_children(cube_root(2))
     centers = {k.center for k in kids}
     assert centers == {(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)}
-    assert all(k.parent == cube_root(2).node_id for k in kids)
-    assert sorted(k.quadrant_index for k in kids) == [0, 1, 2, 3]
+    # quadrant q sets bit j of q for the high half along axis j
+    assert [k.node_id for k in kids] == [(1, (0, 0)), (1, (1, 0)),
+                                         (1, (0, 1)), (1, (1, 1))]
 
 
 def test_children_tile_parent_exactly():
@@ -108,7 +116,7 @@ def test_representative_policies():
 
 
 def test_space_validation():
-    with pytest.raises(ValueError, match="triangle"):
+    with pytest.raises(ValueError, match=r"triangle .* pair \(0, 1\)"):
         FiniteMetricSpace([0, 1, 2], [[0, 1, 0.2], [1, 0, 0.2], [0.2, 0.2, 0]])
     with pytest.raises(ValueError, match="symmetric"):
         FiniteMetricSpace([0, 1], [[0, 0.5], [0.4, 0]])
@@ -120,6 +128,26 @@ def test_space_validation():
     assert sp.diameter == 1.0
     with pytest.raises(ValueError, match="empty"):
         FiniteMetricSpace([], np.zeros((0, 0)))
+
+
+def test_triangle_check_fits_in_quadratic_memory():
+    # an n x n x n detour tensor at n = 1000 needs 7.45 GiB; the check must
+    # build a 1000-point space inside a 1 GiB address space
+    code = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        import numpy as np
+        from advzoom.metric import FiniteMetricSpace
+        pts = np.linspace(0.0, 1.0, 1000)
+        sp = FiniteMetricSpace(list(pts), np.abs(np.subtract.outer(pts, pts)))
+        assert len(sp) == 1000
+    """)
+    src = str(Path(advzoom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_space_from_file(tmp_path):
@@ -194,14 +222,32 @@ def test_dag_properties_eight_point_grid():
     for node in dag.nodes.values():
         assert len(node.children) <= n_dbl**3
         # geometric containment: the action-span stays within 3 r(u)
-        assert action_span_radius(dag, node.node_id) <= 3.0 * node.action_radius
+        assert action_span_radius(dag, node.node_id) <= 3.0 * node.scale
     assert len(dag.nodes[(1, 0)].children) == 3
+
+
+def test_every_node_kind_answers_scale_and_children():
+    root = cube_root(2)
+    assert root.scale == root.diameter == 1.0
+    assert root.children == cube_children(root)
+    dag = build_zooming_dag(line_space(8), 3)
+    for h, level in enumerate(dag.levels):
+        for nid in level:
+            node = dag.nodes[nid]
+            assert node.scale == 2.0 ** -h
+            # children are the DAG's own node objects, one level down
+            assert bool(node.children) == (h < dag.max_height)
+            assert all(v.height == h + 1 and dag.nodes[v.node_id] is v
+                       for v in node.children)
+    arm = DagNode(node_id=(0, 0), center_point=0, height=0, scale=0.0,
+                  arm=(0.3,))
+    assert arm.scale == 0.0 and arm.children == []
 
 
 def test_dag_root_is_whole_space():
     sp = line_space(6)
     dag = build_zooming_dag(sp, 3)
-    root = dag.nodes[dag.root_id]
+    root = dag.nodes[dag.levels[0][0]]
     assert root.ball == frozenset(range(6))
     with pytest.raises(ValueError):
         build_zooming_dag(sp, -1)
