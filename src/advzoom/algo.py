@@ -19,7 +19,7 @@ which inherits the parent's scalars by value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -118,20 +118,14 @@ class AlgoConfig:
     debug_invariants: bool = False
     zoom_enabled: bool = True
     start_height: int = 0  # activate the full level at this height initially
-    d: Optional[float] = None  # covering dimension override (DAG spaces)
-    n_dbl: Optional[int] = None  # doubling constant override
+    # overrides of the covering dimension and doubling constant; they feed
+    # the schedule and the trace header only, the space keeps its own geometry
+    d: Optional[float] = None
+    n_dbl: Optional[int] = None
     param_override: Optional[ParamValues] = None
     # scale c on both log-T schedule coefficients (see ParamSchedule); the
     # default 1.0 is the paper's schedule
     coeff_scale: float = 1.0
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "AlgoConfig":
-        known = {f.name for f in dc_fields(cls)}
-        unknown = set(spec) - known
-        if unknown:
-            raise ValueError(f"invalid config keys: {sorted(unknown)}")
-        return cls(**spec)
 
 
 class AlgState:
@@ -149,95 +143,72 @@ class AlgState:
         self.config = config
         self.T = T
         self.t = 1
-        self.space = space
+        h = config.start_height
 
+        # the space alone fixes its kind, dimension, doubling constant and
+        # the start level's (node, log c_prod) pairs
         if isinstance(space, int):
-            self.kind = "cube"
-            self.d = float(space)
-            self.n_dbl = 2**space
+            kind, d, n_dbl = "cube", space, 2**space
+            # equal split from the root: log c_prod = h * ln(2^d)
+            level = [(u, h * math.log(2**space)) for u in cube_level(space, h)]
         elif isinstance(space, np.ndarray):
             if space.ndim != 2 or len(space) == 0:
                 raise ValueError(f"arm array must be (K, d), got {space.shape}")
-            self.kind = "arms"
-            self.d = float(space.shape[1])
-            self.n_dbl = 2 ** space.shape[1]
+            if h != 0:
+                raise ValueError("a fixed arm set has no level below height 0")
+            kind, d, n_dbl = "arms", space.shape[1], 2 ** space.shape[1]
+            # one zero-scale, childless node per arm, all of equal weight
+            level = [(DagNode(node_id=(0, k), center_point=k, height=0,
+                              scale=0.0, arm=tuple(arm)), 0.0)
+                     for k, arm in enumerate(space)]
         else:
             if isinstance(space, FiniteMetricSpace):
                 space = build_zooming_dag(
                     space, max_height=int(math.ceil(math.log2(max(2, T)))) + 1
                 )
-                self.space = space
             if not isinstance(space, ZoomingDag):
                 raise TypeError(f"unsupported space {type(space)!r}")
-            self.kind = "dag"
-            self.d = 1.0
-            if config.n_dbl is None:
-                self.n_dbl = doubling_constant(space.space).value
-        if config.d is not None:
-            self.d = float(config.d)
-        if config.n_dbl is not None:
-            self.n_dbl = int(config.n_dbl)
+            if h > space.max_height:
+                raise ValueError(
+                    f"start_height {h} exceeds DAG height {space.max_height}")
+            kind, d = "dag", 1
+            n_dbl = (doubling_constant(space.space).value
+                     if config.n_dbl is None else None)
+            # uniform inherited weight across the level (root's equal split,
+            # iterated); exact lineage is ambiguous in a DAG, so use level size
+            ids = space.levels[h]
+            log_cp = math.log(len(ids)) if len(ids) > 1 else 0.0
+            level = [(space.nodes[nid], log_cp) for nid in ids]
+        self.space = space
+        self.kind = kind
+        self.d = float(config.d if config.d is not None else d)
+        self.n_dbl = int(config.n_dbl if config.n_dbl is not None else n_dbl)
 
         self.schedule = ParamSchedule(
             T, self.n_dbl, self.d, override=config.param_override,
             coeff_scale=config.coeff_scale,
         )
-        self.conf_coeff = self.schedule.conf_coeff
         self.select_key = stream_key(config.seed, SELECT_STREAM)
 
         self.trace = Trace(
             algorithm="adversarial_zooming",
             T=T,
-            d=int(self.d) if float(self.d).is_integer() else self.d,
+            d=int(self.d) if self.d.is_integer() else self.d,
             n_dbl=self.n_dbl,
             seed=config.seed,
-            space_kind=self.kind,
+            space_kind=kind,
         )
 
         # hot per-node state, parallel to self.nodes (activation order)
-        self.nodes: list = []  # underlying CubeNode / DagNode
-        self.ids: list = []  # trace node ids
-        self.g_hat = np.zeros(0)
-        self.s_conf = np.zeros(0)
-        self.log_c_prod = np.zeros(0)
-        self._next_id = 0
+        self.nodes = [u for u, _ in level]  # underlying CubeNode / DagNode
+        self.ids = [self._register(u, log_cp, None, 1) for u, log_cp in level]
+        self.g_hat = np.zeros(len(level))
+        self.s_conf = np.zeros(len(level))
+        self.log_c_prod = np.array([log_cp for _, log_cp in level])
 
-        for node, log_cp in self._initial_nodes():
-            self._activate(node, log_cp, parent_id=None, tau0=1)
-
-    # -- node plumbing -------------------------------------------------------
-
-    def _initial_nodes(self):
-        h = self.config.start_height
-        if self.kind == "arms":
-            if h != 0:
-                raise ValueError("a fixed arm set has no level below height 0")
-            # one zero-scale, childless node per arm, all of equal weight
-            return [(DagNode(node_id=(0, k), center_point=k, height=0,
-                             scale=0.0, arm=tuple(arm)), 0.0)
-                    for k, arm in enumerate(self.space)]
-        if self.kind == "cube":
-            nodes = cube_level(int(self.d), h)
-            # equal split from the root: log c_prod = h * ln(2^d)
-            return [(u, h * math.log(2 ** int(self.d))) for u in nodes]
-        dag = self.space
-        if h > dag.max_height:
-            raise ValueError(f"start_height {h} exceeds DAG height {dag.max_height}")
-        level = dag.levels[h]
-        # uniform inherited weight across the level (root's equal split,
-        # iterated); exact lineage is ambiguous in a DAG, so use level size
-        log_cp = math.log(len(level)) if len(level) > 1 else 0.0
-        return [(dag.nodes[nid], log_cp) for nid in level]
-
-    def _activate(self, node, log_cp, parent_id, tau0,
-                  g_hat=0.0, s_conf=0.0) -> int:
-        nid = self._next_id
-        self._next_id += 1
-        self.nodes.append(node)
-        self.ids.append(nid)
-        self.g_hat = np.append(self.g_hat, g_hat)
-        self.s_conf = np.append(self.s_conf, s_conf)
-        self.log_c_prod = np.append(self.log_c_prod, log_cp)
+    def _register(self, node, log_cp, parent_id, tau0) -> int:
+        """Add the node's row to the trace's node table; returns its id."""
+        nid = len(self.trace.node_table)
         arm = representative(node, self.config.repr_policy, self.config.seed)
         if not isinstance(arm, tuple):
             arm = (arm,)
@@ -304,7 +275,7 @@ def estimate(state: AlgState, chosen: int, reward: float, pi: np.ndarray,
     for every active node."""
     if not (0.0 <= reward <= 1.0):
         raise ValueError(f"reward {reward} outside [0, 1]")
-    ghat = state.conf_coeff * pv.beta / pi
+    ghat = state.schedule.conf_coeff * pv.beta / pi
     ghat[chosen] += reward / pi[chosen]
     return ghat
 
@@ -332,10 +303,11 @@ def zoom_in(state: AlgState, zoom_idx: list) -> list:
     """Deactivate the flagged nodes, activate their children with the
     parent's scalars inherited by value.  Equal weight split is implicit:
     each child's log_c_prod grows by ln |c(parent)|.  A child already active
-    (DAG balls can share children) is not activated twice."""
+    (DAG balls can share children) is not activated twice.  Survivors keep
+    their order and the children follow them."""
     zoomed_ids = []
     keep = np.ones(state.n_active, dtype=bool)
-    additions = []  # (node, log_cp, parent_id, g_hat, s_conf)
+    born = []  # (child, log_cp, parent index)
     active = {n.node_id for n in state.nodes}
     for i in zoom_idx:
         node = state.nodes[i]
@@ -356,15 +328,20 @@ def zoom_in(state: AlgState, zoom_idx: list) -> list:
             if child.node_id in active:
                 continue
             active.add(child.node_id)
-            additions.append((child, log_cp, pid, state.g_hat[i], state.s_conf[i]))
+            born.append((child, log_cp, i))
 
-    for arr_name in ("g_hat", "s_conf", "log_c_prod"):
-        setattr(state, arr_name, getattr(state, arr_name)[keep])
-    state.nodes = [n for n, k in zip(state.nodes, keep) if k]
-    state.ids = [n for n, k in zip(state.ids, keep) if k]
-    for child, log_cp, pid, g, s in additions:
-        state._activate(child, log_cp, parent_id=pid, tau0=state.t + 1,
-                        g_hat=g, s_conf=s)
+    survivors = np.flatnonzero(keep)
+    src = np.concatenate(
+        [survivors, np.array([i for _, _, i in born], dtype=np.intp)])
+    state.g_hat = state.g_hat[src]
+    state.s_conf = state.s_conf[src]
+    state.log_c_prod = np.concatenate(
+        [state.log_c_prod[survivors], [log_cp for _, log_cp, _ in born]])
+    state.nodes = [state.nodes[i] for i in survivors] + [c for c, _, _ in born]
+    state.ids = [state.ids[i] for i in survivors] + [
+        state._register(c, log_cp, state.ids[i], state.t + 1)
+        for c, log_cp, i in born
+    ]
     return zoomed_ids
 
 

@@ -69,7 +69,7 @@ class Exp3PState(algo.AlgState):
         super().__init__(arms, T, algo.AlgoConfig(
             seed=seed, record_state=record_state, zoom_enabled=False,
             param_override=override))
-        self.conf_coeff = params.conf_scale
+        self.schedule.conf_coeff = params.conf_scale
         self.trace.algorithm = "exp3p_uniform"
 
 

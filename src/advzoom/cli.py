@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -75,7 +76,10 @@ class ExperimentConfig:
                 raise ValueError(f"bad space spec: {cfg.space}")
         elif space_kind == "finite":
             extra = set(cfg.space) - {"kind", "path", "d", "n_dbl"}
-            if extra or "path" not in cfg.space:
+            d, n_dbl = cfg.space.get("d", 1), cfg.space.get("n_dbl", 1)
+            if (extra or "path" not in cfg.space
+                    or type(d) not in (int, float) or not 0 < d < math.inf
+                    or type(n_dbl) is not int or n_dbl < 1):
                 raise ValueError(f"bad space spec: {cfg.space}")
         else:
             raise ValueError(f"space.kind must be cube or finite: {cfg.space}")
@@ -98,6 +102,11 @@ class ExperimentConfig:
     @property
     def horizon(self) -> int:
         return self.T if self.T is not None else self.rounds
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the arm space: the cube's d, or 1 for a finite space."""
+        return int(self.space["d"]) if self.space["kind"] == "cube" else 1
 
     def effective_repr_policy(self) -> str:
         if self.repr_policy is not None:
@@ -123,7 +132,7 @@ def _space_of(cfg: ExperimentConfig):
 def _grid_eps_of(cfg: ExperimentConfig, T: int) -> float:
     if cfg.grid_eps is not None:
         return float(cfg.grid_eps)
-    d = int(cfg.space.get("d", 1)) if cfg.space["kind"] == "cube" else 1
+    d = cfg.dim
     eps = evaluate.default_grid_eps(d)
     # coarsen until the replay fits the evaluation guard
     while (round(1.0 / eps) + 1) ** d * T > evaluate.MAX_EVALS:
@@ -184,19 +193,22 @@ def run_one_seed(cfg: ExperimentConfig, seed: int):
     """Run a single seed; returns (trace, env, phase_traces_for_monitor)."""
     environment = env_from_spec(cfg.env, cfg.horizon, seed)
     if cfg.algorithm == "exp3p_uniform":
-        d = int(cfg.space.get("d", 1))
         eps = cfg.baseline.get("grid_eps") or baselines.default_grid_eps(
-            cfg.horizon, d
+            cfg.horizon, cfg.dim
         )
-        arms = baselines.uniform_grid(d, float(eps))
+        arms = baselines.uniform_grid(cfg.dim, float(eps))
         trace = baselines.exp3p_run(arms, cfg.horizon, environment, seed=seed,
                                     record_state=cfg.record_pi)
         return trace, environment, [trace]
+    # a finite space's d / n_dbl keys feed the learner's schedule
+    overrides = {} if cfg.space["kind"] == "cube" else {
+        k: cfg.space[k] for k in ("d", "n_dbl") if k in cfg.space}
     acfg = algo.AlgoConfig(
         seed=seed,
         repr_policy=cfg.effective_repr_policy(),
         record_state=cfg.record_pi,
         debug_invariants=cfg.debug_invariants,
+        **overrides,
     )
     space = _space_of(cfg)
     if cfg.rounds is not None:
@@ -337,7 +349,7 @@ def cover_fit(cfg: ExperimentConfig, out_dir,
     os.makedirs(out_dir, exist_ok=True)
     T = cfg.horizon
     environment = env_from_spec(cfg.env, T, cfg.seeds[0])
-    d = int(cfg.space.get("d", 1)) if cfg.space["kind"] == "cube" else 1
+    d = cfg.dim
     n_dbl = 2**d
     grid = evaluate.grid_points(d, _grid_eps_of(cfg, T))
     ladder = eps_ladder or [2.0 ** -k for k in range(2, 8)]

@@ -206,10 +206,6 @@ class CombinedEnv:
         sched = self.schedule if upto is None else self.schedule[:upto]
         return np.bincount(sched, minlength=len(self.means)) / len(sched)
 
-    def mixture_mean(self, xs, upto: Optional[int] = None) -> np.ndarray:
-        f = self.frequencies(upto)
-        return sum(f[i] * np.atleast_1d(m(xs)) for i, m in enumerate(self.means))
-
     def reward(self, t: int, arm) -> float:
         mu = self.mean_at(t, np.asarray(arm))
         u = uniform(self._key, t, arm_counter(arm))
@@ -409,16 +405,6 @@ class PricingEnv:
 # --------------------------------------------------------------------------
 # Shared operations
 # --------------------------------------------------------------------------
-
-
-def eval_reward(env, t: int, x) -> float:
-    """Spec'd entry point: reward of arm x at round t, with range checks."""
-    if t < 1:
-        raise ValueError(f"round {t} < 1")
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if arr.min() < 0.0 or arr.max() > 1.0:
-        raise ValueError(f"arm {x} outside [0,1]^d")
-    return env.reward(t, x)
 
 
 @dataclass

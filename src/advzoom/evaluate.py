@@ -157,20 +157,6 @@ def gaps_at(env, grid: np.ndarray, ts) -> np.ndarray:
     return (best[None, :] - totals) / ts[None, :]
 
 
-def adversarial_gap(env, grid: np.ndarray, t: int, x) -> float:
-    """Gap of a single arm (appended to the grid if absent)."""
-    grid = np.atleast_2d(np.asarray(grid, dtype=np.float64))
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, -1)
-    match = np.flatnonzero(np.all(grid == x, axis=1))
-    if len(match):
-        idx = int(match[0])
-        full = grid
-    else:
-        full = np.vstack([grid, x])
-        idx = len(full) - 1
-    return float(gaps_at(env, full, [t])[idx, 0])
-
-
 def eps_ladder_times(eps: float, T: int) -> list:
     """End-times { t0 * 2^k } with t0 the least integer > eps^-2 / 9."""
     start = math.floor(eps**-2 / 9.0) + 1

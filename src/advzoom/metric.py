@@ -321,22 +321,6 @@ def check_dag_properties(dag: ZoomingDag) -> list:
     return bad
 
 
-def action_span_radius(dag: ZoomingDag, node_id) -> float:
-    """Max distance from a node's center to any point in its sub-DAG balls."""
-    u = dag.nodes[node_id]
-    seen = set()
-    stack = [u]
-    pts = set()
-    while stack:
-        v = stack.pop()
-        if v.node_id in seen:
-            continue
-        seen.add(v.node_id)
-        pts |= v.ball
-        stack.extend(v.children)
-    return float(max(dag.space.dist[u.center_point][p] for p in pts))
-
-
 # --------------------------------------------------------------------------
 # Doubling constant
 # --------------------------------------------------------------------------

@@ -43,8 +43,28 @@ def test_init_single_root():
     assert algo.distribution(st, pv).tolist() == [1.0]
     with pytest.raises(ValueError):
         algo.init(1, 0, AlgoConfig())
-    with pytest.raises(ValueError, match="invalid config keys"):
-        AlgoConfig.from_dict({"seed": 1, "turbo": True})
+
+
+def test_dimension_override_feeds_the_schedule_not_the_cube():
+    st = algo.init(1, 16, AlgoConfig(d=2.0))
+    assert [n.center for n in st.nodes] == [(0.5,)]
+    assert st.trace.d == 2 and st.schedule.d == 2.0
+    arm = algo.step(st, ConstEnv(1.0)).arm
+    assert arm == (0.5,)
+
+
+def test_fractional_dimension_override_on_a_cube():
+    half = algo.init(1, 16, AlgoConfig(d=0.5))
+    assert half.d == 0.5 and half.trace.d == 0.5
+    assert [n.center for n in half.nodes] == [(0.5,)]
+
+
+def test_cube_start_level_log_c_prod_uses_the_cubes_dimension():
+    st = algo.init(2, 16, AlgoConfig(d=1.0, start_height=1))
+    assert st.n_active == 4
+    assert st.log_c_prod.tolist() == [math.log(4)] * 4
+    assert [st.trace.node_table[i].log_c_prod for i in st.ids] \
+        == [math.log(4)] * 4
 
 
 def test_fixed_arm_space_is_flat_and_never_zooms():
@@ -233,6 +253,19 @@ def test_zoom_in_inheritance():
     # zoom one child: grandchildren carry log(2) + log(2)
     algo.zoom_in(st, [0])
     assert st.log_c_prod[-1] == pytest.approx(2 * math.log(2))
+    # zoom two nodes at once: children follow the survivors in parent order,
+    # each inheriting its own parent's scalars, with contiguous new ids
+    st.g_hat = np.array([1.0, 2.0, 3.0])
+    st.s_conf = np.array([4.0, 5.0, 6.0])
+    st.t = 9
+    parents = list(st.nodes[:2])
+    first_new = len(st.trace.node_table)
+    algo.zoom_in(st, [0, 1])
+    assert st.nodes == [st.nodes[0]] + [c for p in parents for c in p.children]
+    assert st.g_hat.tolist() == [3.0, 1.0, 1.0, 2.0, 2.0]
+    assert st.s_conf.tolist() == [6.0, 4.0, 4.0, 5.0, 5.0]
+    assert st.ids[1:] == list(range(first_new, first_new + 4))
+    assert [st.trace.node_table[i].tau0 for i in st.ids[1:]] == [10] * 4
 
 
 def test_zoom_weight_conservation():
@@ -492,7 +525,7 @@ def test_coeff_scale_one_is_bit_identical(tmp_path):
     digests = []
     for cfg in (AlgoConfig(seed=5), AlgoConfig(seed=5, coeff_scale=1.0)):
         st = algo.init(1, T, cfg)
-        assert st.conf_coeff == 1.0 + 4.0 * math.log2(T)
+        assert st.schedule.conf_coeff == 1.0 + 4.0 * math.log2(T)
         path = tmp_path / f"trace{len(digests)}.csv"
         algo.run(st, StochasticEnv(tent_mean(), seed=5)).write_csv(path)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
@@ -524,7 +557,7 @@ def test_coeff_scale_scales_both_coefficients_exactly():
         assert pv_c.gamma == min(0.5, scaled.gamma_coeff * a * pv.beta)
     assert pv_c.gamma < 0.5 == pv.gamma  # the last round's values
     st = fresh(T=16, coeff_scale=c)  # conf coefficient c * (1 + 4*4)
-    assert st.conf_coeff == c * 17
+    assert st.schedule.conf_coeff == c * 17
     pv = ParamValues(0.1, 0.1, 0.5, 0.1)
     ghat = algo.estimate(st, 0, 0.3, np.array([1.0]), pv)
     assert ghat[0] == pytest.approx(0.3 + c * 17 * 0.1)

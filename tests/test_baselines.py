@@ -96,6 +96,20 @@ def test_reduction_to_exp3p_on_fixed_nodes():
         assert np.allclose(zr.pi, br.pi, atol=1e-12)
 
 
+def test_exp3p_run_is_audited_against_its_own_coefficient():
+    # eta (1 + beta cc) vs gamma/|A| = 0.25: the run's cc = 1 holds on every
+    # round, the paper's 1 + 4 log2 T = 41 would fail on every round
+    T = 1024
+    state = Exp3PState(uniform_grid(1, 0.5), T, seed=0,
+                       params=Exp3PParams(beta=0.1, gamma=0.5, eta=0.1))
+    assert state.schedule.conf_coeff == 1.0
+    env = two_arm_env(seed=0)
+    while state.t <= T:
+        exp3p_step(state, env)
+    rep = algo.check_assumptions(state.schedule, state.trace)
+    assert rep.violations["product_clause"] == []
+
+
 def test_trace_schema_shared():
     env = two_arm_env(seed=0)
     tr = exp3p_run(uniform_grid(1, 0.5), 16, env, seed=0)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,19 @@ def test_run_finite_space(tmp_path):
     assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 0
 
 
+def test_finite_space_dimension_keys_reach_the_learner(tmp_path):
+    space_file = tmp_path / "space.txt"
+    space_file.write_text("3\n0 1 1\n1 0 1\n1 1 0\n")
+    space = {"kind": "finite", "path": str(space_file), "d": 3, "n_dbl": 7}
+    cfg = ExperimentConfig.from_dict(base_config(space=space, T=32))
+    assert cfg.dim == 1
+    trace, _, _ = cli.run_one_seed(cfg, 0)
+    assert (trace.d, trace.n_dbl) == (3, 7)
+    for bad in ({"n_dbl": 0}, {"d": 0}):
+        path = write_config(tmp_path, base_config(space={**space, **bad}))
+        assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_bad_config_exit_code(tmp_path):
     path = write_config(tmp_path, base_config(algorithm="mystery"))
     assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == 2
@@ -253,3 +267,20 @@ def test_cover_verb(tmp_path):
     rep = json.loads((out / "cover.json").read_text())
     assert rep["counts"][0] >= 1
     assert "z_hat" in rep
+
+
+# -- README -------------------------------------------------------------------
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_quick_start_and_config_run(capsys):
+    text = open(README).read()
+    quick = text.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", quick, re.S).group(1)
+    exec(compile(code, "README quick start", "exec"), {})
+    regret, n_zooms, n_violations = capsys.readouterr().out.split()
+    assert float(regret) > 0 and int(n_zooms) > 0 and n_violations == "0"
+    config = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+    cfg = ExperimentConfig.from_dict(json.loads(config))
+    assert cfg.algorithm == "adversarial_zooming" and cfg.dim == 1

@@ -6,7 +6,6 @@ import pytest
 from advzoom import algo, evaluate
 from advzoom.env import MeanFunction, StochasticEnv
 from advzoom.evaluate import (
-    adversarial_gap,
     covering_count,
     dimension_fit,
     eps_ladder_times,
@@ -18,6 +17,20 @@ from advzoom.evaluate import (
     regret,
 )
 from advzoom.trace import NodeMeta, RoundRecord, Trace
+
+
+def adversarial_gap(env, grid, t, x):
+    """Gap of a single arm (appended to the grid if absent)."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=np.float64))
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64)).reshape(1, -1)
+    match = np.flatnonzero(np.all(grid == x, axis=1))
+    if len(match):
+        idx = int(match[0])
+        full = grid
+    else:
+        full = np.vstack([grid, x])
+        idx = len(full) - 1
+    return float(gaps_at(env, full, [t])[idx, 0])
 from conftest import GOLD, tent_mean
 
 

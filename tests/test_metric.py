@@ -12,7 +12,6 @@ import advzoom
 from advzoom.metric import (
     DagNode,
     FiniteMetricSpace,
-    action_span_radius,
     build_zooming_dag,
     check_dag_properties,
     cube_children,
@@ -27,6 +26,22 @@ from advzoom.metric import (
 def line_space(n):
     pts = np.linspace(0.0, 1.0, n)
     return FiniteMetricSpace(list(pts), np.abs(np.subtract.outer(pts, pts)))
+
+
+def action_span_radius(dag, node_id):
+    """Max distance from a node's center to any point in its sub-DAG balls."""
+    u = dag.nodes[node_id]
+    seen = set()
+    stack = [u]
+    pts = set()
+    while stack:
+        v = stack.pop()
+        if v.node_id in seen:
+            continue
+        seen.add(v.node_id)
+        pts |= v.ball
+        stack.extend(v.children)
+    return float(max(dag.space.dist[u.center_point][p] for p in pts))
 
 
 # -- cube tree ---------------------------------------------------------------
