@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -75,11 +74,7 @@ class ExperimentConfig:
             if extra or int(cfg.space.get("d", 0)) < 1:
                 raise ValueError(f"bad space spec: {cfg.space}")
         elif space_kind == "finite":
-            extra = set(cfg.space) - {"kind", "path", "d", "n_dbl"}
-            d, n_dbl = cfg.space.get("d", 1), cfg.space.get("n_dbl", 1)
-            if (extra or "path" not in cfg.space
-                    or type(d) not in (int, float) or not 0 < d < math.inf
-                    or type(n_dbl) is not int or n_dbl < 1):
+            if set(cfg.space) != {"kind", "path"}:
                 raise ValueError(f"bad space spec: {cfg.space}")
         else:
             raise ValueError(f"space.kind must be cube or finite: {cfg.space}")
@@ -200,15 +195,11 @@ def run_one_seed(cfg: ExperimentConfig, seed: int):
         trace = baselines.exp3p_run(arms, cfg.horizon, environment, seed=seed,
                                     record_state=cfg.record_pi)
         return trace, environment, [trace]
-    # a finite space's d / n_dbl keys feed the learner's schedule
-    overrides = {} if cfg.space["kind"] == "cube" else {
-        k: cfg.space[k] for k in ("d", "n_dbl") if k in cfg.space}
     acfg = algo.AlgoConfig(
         seed=seed,
         repr_policy=cfg.effective_repr_policy(),
         record_state=cfg.record_pi,
         debug_invariants=cfg.debug_invariants,
-        **overrides,
     )
     space = _space_of(cfg)
     if cfg.rounds is not None:

@@ -17,6 +17,7 @@ from advzoom.evaluate import (
     regret,
 )
 from advzoom.trace import NodeMeta, RoundRecord, Trace
+from conftest import GOLD, tent_mean
 
 
 def adversarial_gap(env, grid, t, x):
@@ -31,7 +32,6 @@ def adversarial_gap(env, grid, t, x):
         full = np.vstack([grid, x])
         idx = len(full) - 1
     return float(gaps_at(env, full, [t])[idx, 0])
-from conftest import GOLD, tent_mean
 
 
 def det_env(xs_ys):
