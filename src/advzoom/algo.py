@@ -1,10 +1,12 @@
 """Adaptive-zooming bandit over a node hierarchy with EXP3.P-style selection.
 
-State per active node is three scalars — the cumulative optimistic estimate
-G_hat, the cumulative confidence sum S_conf, and log c_prod (the log-product
-of child counts along the ancestry) — plus bookkeeping: the node itself and
-its trace id.  A node is anything with a `scale` and `children` (cube cell,
-DAG ball or fixed arm); rounds and zooming never ask which kind it is.
+State per active node is the paper's three scalars — the cumulative
+optimistic estimate G_hat, the cumulative confidence sum S_conf, and
+log c_prod (the log-product of child counts along the ancestry) — plus its
+cached geometry (its scale L and e^L - 1, read by the zoom test) and
+bookkeeping: the node itself and its trace id.  A node is anything with a
+`scale` and `children` (cube cell, DAG ball or fixed arm); rounds and
+zooming never ask which kind it is.
 Weights are never stored: the closed form
 
     log w_t(u) = eta_t * G_hat(u) - log_c_prod(u)
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -205,6 +207,7 @@ class AlgState:
         self.g_hat = np.zeros(len(level))
         self.s_conf = np.zeros(len(level))
         self.log_c_prod = np.array([log_cp for _, log_cp in level])
+        self.scale, self.expm1_scale = _geometry(self.nodes)
 
     def _register(self, node, log_cp, parent_id, tau0) -> int:
         """Add the node's row to the trace's node table; returns its id."""
@@ -228,6 +231,13 @@ class AlgState:
     @property
     def n_active(self) -> int:
         return len(self.nodes)
+
+
+def _geometry(nodes) -> tuple:
+    """Per-node scale L and e^L - 1.  math.expm1 per node, because np.expm1
+    is not known to agree with it in the last ulp."""
+    return (np.array([u.scale for u in nodes], dtype=np.float64),
+            np.array([math.expm1(u.scale) for u in nodes], dtype=np.float64))
 
 
 def init(space, T: int, config: Optional[AlgoConfig] = None) -> AlgState:
@@ -286,20 +296,18 @@ def update(state: AlgState, ghat: np.ndarray, pi: np.ndarray,
     state.s_conf += pv.beta / pi
 
 
-def zoom_check(state: AlgState, i: int, pi: np.ndarray,
-               pv: ParamValues) -> bool:
-    """Zoom in iff both confidence tests clear the node's scale L under this
-    round's pi: instantaneous beta_tilde + beta/pi <= e^L - 1, and aggregate
-    1/beta + S_conf <= t*L."""
-    L = state.nodes[i].scale
-    inst = pv.beta_tilde + pv.beta / pi[i]
-    if inst > math.expm1(L):
-        return False
-    tot = 1.0 / pv.beta + state.s_conf[i]
-    return tot <= state.t * L
+def zoom_check(state: AlgState, pi: np.ndarray,
+               pv: ParamValues) -> np.ndarray:
+    """Indices of the active nodes to zoom in: both confidence tests clear
+    the node's scale L under this round's pi, instantaneous
+    beta_tilde + beta/pi <= e^L - 1 and aggregate 1/beta + S_conf <= t*L."""
+    inst = pv.beta_tilde + pv.beta / pi
+    tot = 1.0 / pv.beta + state.s_conf
+    return np.flatnonzero((inst <= state.expm1_scale)
+                          & (tot <= state.t * state.scale))
 
 
-def zoom_in(state: AlgState, zoom_idx: list) -> list:
+def zoom_in(state: AlgState, zoom_idx: Sequence[int]) -> list:
     """Deactivate the flagged nodes, activate their children with the
     parent's scalars inherited by value.  Equal weight split is implicit:
     each child's log_c_prod grows by ln |c(parent)|.  A child already active
@@ -337,6 +345,10 @@ def zoom_in(state: AlgState, zoom_idx: list) -> list:
     state.s_conf = state.s_conf[src]
     state.log_c_prod = np.concatenate(
         [state.log_c_prod[survivors], [log_cp for _, log_cp, _ in born]])
+    scale, expm1_scale = _geometry([c for c, _, _ in born])
+    state.scale = np.concatenate([state.scale[survivors], scale])
+    state.expm1_scale = np.concatenate(
+        [state.expm1_scale[survivors], expm1_scale])
     state.nodes = [state.nodes[i] for i in survivors] + [c for c, _, _ in born]
     state.ids = [state.ids[i] for i in survivors] + [
         state._register(c, log_cp, state.ids[i], state.t + 1)
@@ -350,8 +362,7 @@ def _debug_checks(state: AlgState, pi: np.ndarray, pv: ParamValues) -> None:
     assert abs(pi.sum() - 1.0) <= 1e-12, f"round {t}: sum(pi) != 1"
     assert pi.min() >= pv.gamma / n - 1e-12, f"round {t}: pi below floor"
     conf_tot = 1.0 / pv.beta + state.s_conf
-    scale = np.array([nd.scale for nd in state.nodes])
-    bad = conf_tot < (t - 1) * scale - 1e-9
+    bad = conf_tot < (t - 1) * state.scale - 1e-9
     assert not bad.any(), f"round {t}: zooming invariant violated"
     max_h = 1.0 + math.log2(state.T) + 1e-9
     assert all(nd.height <= max_h for nd in state.nodes), f"round {t}: height"
@@ -382,9 +393,8 @@ def step(state: AlgState, env) -> RoundRecord:
 
     zoomed = []
     if state.config.zoom_enabled:
-        zoom_idx = [i for i in range(n_before)
-                    if zoom_check(state, i, pi, pv)]
-        if zoom_idx:
+        zoom_idx = zoom_check(state, pi, pv)
+        if zoom_idx.size:
             zoomed = zoom_in(state, zoom_idx)
 
     if state.config.debug_invariants:

@@ -135,6 +135,30 @@ def _realize(mu: np.ndarray, u: np.ndarray, noise: str, scale: float):
     return np.clip(mu + scale * z, 0.0, 1.0)
 
 
+def _single_reward(env, means, i: int, t: int, arm) -> float:
+    """Reward of one arm at round t under instance means[i].
+
+    Each tuple arm's means (one per instance) and noise counter are
+    computed once, by the same vector functions reward_block uses, and kept
+    in env._arms; learners play one representative arm per node, so the
+    dict holds at most one entry per node.  The reward then costs one
+    scalar uniform and equals reward_block([t], [arm])[0, 0] bit for bit.
+    """
+    entry = env._arms.get(arm) if isinstance(arm, tuple) else None
+    if entry is None:
+        xs = np.asarray(arm)
+        entry = ([float(np.atleast_1d(m(xs))[0]) for m in means],
+                 int(arm_counter(arm)[0]))
+        if isinstance(arm, tuple):
+            env._arms[arm] = entry
+    mus, q = entry
+    mu = mus[i]
+    u = uniform(env._key, t, q)
+    if env.noise == "bernoulli":
+        return 1.0 if u < mu else 0.0
+    return float(_realize(mu, u, env.noise, env.noise_scale))
+
+
 class StochasticEnv:
     """I.i.d. rewards: g_t(x) has mean mu(x) every round."""
 
@@ -150,14 +174,13 @@ class StochasticEnv:
         self.seed = seed
         self.d = mean.d
         self._key = stream_key(seed, "env.noise")
+        self._arms = {}  # tuple arm -> (means, counter), see _single_reward
 
     def mean_at(self, t: int, xs) -> np.ndarray:
         return self.mean(xs)
 
     def reward(self, t: int, arm) -> float:
-        mu = self.mean(np.asarray(arm))
-        u = uniform(self._key, t, arm_counter(arm))
-        return float(_realize(np.asarray(mu), u, self.noise, self.noise_scale)[0])
+        return _single_reward(self, (self.mean,), 0, t, arm)
 
     def reward_block(self, ts, xs) -> np.ndarray:
         """Rewards for arms x rows, rounds t columns: shape (len(xs), len(ts))."""
@@ -195,6 +218,7 @@ class CombinedEnv:
         self.d = means[0].d
         self.T = len(self.schedule)
         self._key = stream_key(seed, "env.noise")
+        self._arms = {}  # tuple arm -> (means, counter), see _single_reward
 
     def instance_of_round(self, t: int) -> int:
         return int(self.schedule[t - 1])
@@ -207,9 +231,8 @@ class CombinedEnv:
         return np.bincount(sched, minlength=len(self.means)) / len(sched)
 
     def reward(self, t: int, arm) -> float:
-        mu = self.mean_at(t, np.asarray(arm))
-        u = uniform(self._key, t, arm_counter(arm))
-        return float(_realize(np.asarray(mu), u, self.noise, self.noise_scale)[0])
+        i = self.instance_of_round(t)
+        return _single_reward(self, self.means, i, t, arm)
 
     def reward_block(self, ts, xs) -> np.ndarray:
         ts = np.asarray(ts, dtype=np.int64)
@@ -370,7 +393,9 @@ class PricingEnv:
         self._key = stream_key(seed, "env.values")
 
     def value(self, t) -> np.ndarray:
-        u = uniform(self._key, np.asarray(t, dtype=np.int64))
+        if not isinstance(t, int):
+            t = np.asarray(t, dtype=np.int64)
+        u = uniform(self._key, t)
         return pricing_value_from_cdf(self.value_kind, self.value_params, u)
 
     def mean_at(self, t: int, xs) -> np.ndarray:

@@ -10,6 +10,11 @@ bit-reproducible from (config, seed).
 Streams are separated by hashing an ASCII tag (FNV-1a) into the key, so the
 selection stream, the reward-noise stream, and the pricing-value stream never
 collide even under equal seeds.
+
+`uniform` on two scalar integer counters runs splitmix64 on Python ints
+(`_mix`), which skips numpy's per-call array set-up on the learner's
+per-round draws.  It computes the same function as the array path, bit for
+bit, and returns an np.float64.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ import numpy as np
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+
+_M64 = (1 << 64) - 1
+_INTS = (int, np.integer)
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -33,6 +41,14 @@ def splitmix64(x):
         z = (z ^ (z >> np.uint64(27))) * _MIX2
         z = z ^ (z >> np.uint64(31))
     return z
+
+
+def _mix(x: int) -> int:
+    """splitmix64 on a Python int in [0, 2**64)."""
+    z = (x + 0x9E3779B97F4A7C15) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
 
 
 def fnv1a64(tag: str) -> np.uint64:
@@ -59,6 +75,10 @@ def counter_hash(key, a, b=0):
 
 def uniform(key, a, b=0):
     """Uniform float64 in [0, 1) keyed by (key, a, b), elementwise."""
+    if isinstance(a, _INTS) and isinstance(b, _INTS):
+        # counter_hash on Python ints; integers wrap modulo 2**64 as in uint64
+        h = _mix(_mix(int(key) ^ _mix(int(a) & _M64)) ^ _mix(int(b) & _M64))
+        return np.float64((h >> 11) * 2.0 ** -53)
     h = counter_hash(key, a, b)
     # top 53 bits -> [0, 1) with full double precision
     return (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)

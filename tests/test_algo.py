@@ -223,10 +223,97 @@ def test_zoom_check_instantaneous_part():
     st.t = 100
     pv = ParamValues(0.1, 0.1, 0.5, 0.1)
     # conf_inst = 0.1 + 0.1/0.2 = 0.6 <= e - 1; conf_tot = 10 <= 100
-    assert algo.zoom_check(st, 0, pi, pv)
+    assert algo.zoom_check(st, pi, pv).tolist() == [0]
     # same but failing the aggregate test
     st.t = 9
-    assert not algo.zoom_check(st, 0, pi, pv)
+    assert algo.zoom_check(st, pi, pv).tolist() == []
+
+
+def scalar_zoom_rule(state, i, pi, pv):
+    """The zoom test of one node as a scalar rule, for comparison."""
+    L = state.nodes[i].scale
+    inst = pv.beta_tilde + pv.beta / pi[i]
+    if inst > math.expm1(L):
+        return False
+    tot = 1.0 / pv.beta + state.s_conf[i]
+    return tot <= state.t * L
+
+
+def on_the_bound(f, bound, x):
+    """A float within 4 ulps of x with f(x) == bound exactly, or None."""
+    down, up = [x], [x]
+    for _ in range(4):
+        down.append(np.nextafter(down[-1], -np.inf))
+        up.append(np.nextafter(up[-1], np.inf))
+    return next((y for y in up + down if f(y) == bound), None)
+
+
+def zoom_test_states():
+    """Active sets with mixed scales on a d=1 and a d=2 cube, a DAG and
+    a fixed arm set."""
+    cube1 = algo.init(1, 1024, AlgoConfig(start_height=1))
+    algo.zoom_in(cube1, [0])
+    algo.zoom_in(cube1, [1])
+    cube2 = algo.init(2, 1024, AlgoConfig(start_height=1))
+    algo.zoom_in(cube2, [2])
+    x = (np.arange(30) + np.random.default_rng(2).random(30)) / 30
+    dag = algo.init(FiniteMetricSpace(x.tolist(), np.abs(x[:, None] - x)),
+                    1024, AlgoConfig(n_dbl=2, start_height=1))
+    algo.zoom_in(dag, [0])
+    arms = algo.init(np.array([[0.2], [0.5], [0.8]]), 1024)
+    return {"cube1": cube1, "cube2": cube2, "dag": dag, "arms": arms}
+
+
+@pytest.mark.parametrize("name", ["cube1", "cube2", "dag", "arms"])
+def test_zoom_check_equals_the_per_node_rule(name):
+    st = zoom_test_states()[name]
+    n = st.n_active
+    assert len(st.scale) == len(st.expm1_scale) == n
+    gen = np.random.default_rng(5)
+    decided = set()
+    # random rounds: pi, S_conf, t and the schedule anywhere in range
+    for _ in range(400):
+        beta = float(10 ** gen.uniform(-4, math.log10(0.5)))
+        pv = ParamValues(beta, beta * gen.uniform(0.5, 1.0), 0.5, beta)
+        pi = gen.dirichlet(np.full(n, 0.3)) + 1e-9
+        st.s_conf = gen.uniform(0, 2e4, n)
+        st.t = int(10 ** gen.uniform(0, 6))
+        want = [i for i in range(n) if scalar_zoom_rule(st, i, pi, pv)]
+        assert algo.zoom_check(st, pi, pv).tolist() == want
+        decided.update(want)
+    # both tests exactly on their bound e^L - 1 and t*L, then one ulp off
+    on_bound = 0
+    for _ in range(200):
+        beta = float(10 ** gen.uniform(-3, -2))
+        pv = ParamValues(beta, beta / 2, 0.5, beta)
+        st.t = int(gen.integers(1000, 10**6))
+        pi = np.full(n, 0.5)
+        st.s_conf = np.zeros(n)
+        for i, (L, em1) in enumerate(zip(st.scale, st.expm1_scale)):
+            p = s = None
+            if L > 0:
+                p = on_the_bound(lambda x: pv.beta_tilde + pv.beta / x, em1,
+                                 pv.beta / (em1 - pv.beta_tilde))
+            s = on_the_bound(lambda x: 1.0 / pv.beta + x, st.t * L,
+                             st.t * L - 1.0 / pv.beta)
+            if p is not None:
+                pi[i] = p
+            if s is not None:
+                st.s_conf[i] = s
+            on_bound += s is not None and (p is not None or L == 0)
+        for col in (pi, st.s_conf):
+            shift = gen.integers(-1, 2, n)
+            col[shift < 0] = np.nextafter(col[shift < 0], -np.inf)
+            col[shift > 0] = np.nextafter(col[shift > 0], np.inf)
+        want = [i for i in range(n) if scalar_zoom_rule(st, i, pi, pv)]
+        assert algo.zoom_check(st, pi, pv).tolist() == want
+        decided.update(want)
+    assert on_bound > 100
+    if name == "arms":
+        # L = 0: e^L - 1 = 0 < beta_tilde, so a fixed arm never zooms
+        assert decided == set()
+    else:
+        assert decided == set(range(n))
 
 
 def test_no_zoom_at_round_one():

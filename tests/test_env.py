@@ -115,6 +115,36 @@ def test_noise_models(tent_env):
         StochasticEnv(tent_mean(), noise="cauchy")
 
 
+def assert_single_arm_rewards_equal_block(env, T, d, ts=(), seed=0):
+    """reward(t, arm) equals reward_block([t], [arm])[0, 0] bit for bit on
+    300 (t, arm) pairs over 20 arms, each arm played as a tuple of float and
+    of np.float64 (what fixed-arm spaces pass) and repeated, so the
+    per-arm cache is both missed and hit; `ts` adds rounds to every arm."""
+    gen = np.random.default_rng(seed)
+    pool = [tuple(float(v) for v in gen.random(d)) for _ in range(18)]
+    pool += [(0.0,) * d, (1.0,) * d]
+    plays = [(int(t), pool[k]) for t, k in zip(gen.integers(1, T + 1, 300),
+                                              gen.integers(0, 20, 300))]
+    plays += [(int(t), arm) for t in ts for arm in pool]
+    for n, (t, arm) in enumerate(plays):
+        if n % 2:
+            arm = tuple(np.float64(v) for v in arm)
+        got = env.reward(t, arm)
+        want = env.reward_block([t], [arm])[0, 0]
+        assert type(got) is float
+        assert got.hex() == float(want).hex(), (t, arm)
+    return pool
+
+
+@pytest.mark.parametrize("noise", ["bernoulli", "none", "gauss"])
+@pytest.mark.parametrize("target", [GOLD, [0.618, 0.382]])
+def test_single_arm_reward_equals_block_stochastic(noise, target):
+    env = StochasticEnv(tent_mean(target=target), noise=noise,
+                        noise_scale=0.2, seed=4)
+    pool = assert_single_arm_rewards_equal_block(env, 4096, env.d)
+    assert len(env._arms) == len(pool)  # float and np.float64 arms share
+
+
 # -- combined instances -------------------------------------------------------
 
 
@@ -168,6 +198,14 @@ def test_combined_mixture_identity():
     assert realized == pytest.approx(expected, abs=0.04)
 
 
+def test_single_arm_reward_equals_block_combined():
+    m1, m2 = two_bumps()
+    env = make_combined([m1, m2], [(0, 100), (1, 156)],
+                        [(0.1, 0.4), (0.6, 0.9)], [0.2, 0.2], T=256, seed=6)
+    # rounds 99..102 straddle the phase boundary after round 100
+    assert_single_arm_rewards_equal_block(env, 256, 1, ts=range(99, 103))
+
+
 def test_phase_schedule_and_arbitrary_interleaving():
     sched = phase_schedule([(1, 3), (0, 2)])
     assert sched.tolist() == [1, 1, 1, 0, 0]
@@ -187,6 +225,15 @@ def test_pricing_buy_rule():
     assert eval_reward(env, 1, 0.3) == pytest.approx(0.3)
     assert eval_reward(env, 1, 0.6) == 0.0
     assert eval_reward(env, 9, 0.5) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("uniform", {"a": 0.1, "b": 0.9}),
+    ("target", {"a": 0.25, "b": 0.5, "support": (0.3, 0.7)}),
+])
+def test_single_arm_reward_equals_block_pricing(kind, params):
+    env = PricingEnv(kind, params, seed=2)
+    assert_single_arm_rewards_equal_block(env, 4096, 1)
 
 
 def test_pricing_value_from_cdf_uniform():
