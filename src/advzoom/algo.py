@@ -300,11 +300,12 @@ def zoom_check(state: AlgState, pi: np.ndarray,
                pv: ParamValues) -> np.ndarray:
     """Indices of the active nodes to zoom in: both confidence tests clear
     the node's scale L under this round's pi, instantaneous
-    beta_tilde + beta/pi <= e^L - 1 and aggregate 1/beta + S_conf <= t*L."""
-    inst = pv.beta_tilde + pv.beta / pi
-    tot = 1.0 / pv.beta + state.s_conf
-    return np.flatnonzero((inst <= state.expm1_scale)
-                          & (tot <= state.t * state.scale))
+    beta_tilde + beta/pi <= e^L - 1 and aggregate 1/beta + S_conf <= t*L.
+    Most rounds no node passes the first, so the second is skipped."""
+    ok = pv.beta_tilde + pv.beta / pi <= state.expm1_scale
+    if ok.any():
+        ok &= 1.0 / pv.beta + state.s_conf <= state.t * state.scale
+    return ok.nonzero()[0]
 
 
 def zoom_in(state: AlgState, zoom_idx: Sequence[int]) -> list:
