@@ -290,7 +290,7 @@ def test_zoom_check_equals_the_per_node_rule(name):
         pi = np.full(n, 0.5)
         st.s_conf = np.zeros(n)
         for i, (L, em1) in enumerate(zip(st.scale, st.expm1_scale)):
-            p = s = None
+            p = None
             if L > 0:
                 p = on_the_bound(lambda x: pv.beta_tilde + pv.beta / x, em1,
                                  pv.beta / (em1 - pv.beta_tilde))
