@@ -344,9 +344,9 @@ def cover_fit(cfg: ExperimentConfig, out_dir,
     n_dbl = 2**d
     grid = evaluate.grid_points(d, _grid_eps_of(cfg, T))
     ladder = eps_ladder or [2.0 ** -k for k in range(2, 8)]
+    masks = evaluate.eps_optimal_set(environment, grid, ladder, d, n_dbl, T)
     counts = []
-    for eps in ladder:
-        mask = evaluate.eps_optimal_set(environment, grid, eps, d, n_dbl, T)
+    for eps, mask in zip(ladder, masks):
         subset = grid[mask]
         counts.append(evaluate.covering_count(subset, eps) if len(subset) else 0)
     usable = [(e, c) for e, c in zip(ladder, counts) if c > 0]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .rng import splitmix64, stream_key, uniform
 
@@ -130,7 +129,10 @@ def _realize(mu: np.ndarray, u: np.ndarray, noise: str, scale: float):
         return (u < mu).astype(np.float64)
     if noise == "none":
         return np.broadcast_to(mu, u.shape).astype(np.float64)
-    # truncated gaussian: inverse-CDF normal, clipped back into [0,1]
+    # truncated gaussian: inverse-CDF normal, clipped back into [0,1];
+    # scipy is imported here, its only use, so other runs never load it
+    from scipy.special import ndtri
+
     z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     return np.clip(mu + scale * z, 0.0, 1.0)
 

@@ -21,6 +21,7 @@ from .trace import Trace
 
 MAX_EVALS = 10**7  # guard on arm-round reward evaluations
 _CHUNK = 64  # grid arms per replay block
+_BLOCK = 2048  # rounds per replay block: 1 MiB per float64 temporary
 
 
 def grid_points(d: int, eps: float) -> np.ndarray:
@@ -44,27 +45,35 @@ def default_grid_eps(d: int) -> float:
 
 
 def _replay(env, grid: np.ndarray, T: int, checkpoints=None):
-    """One pass over the reward table.
+    """One pass over the reward table, in blocks of _CHUNK arms x _BLOCK rounds.
 
     Returns (cum_best, totals) where cum_best[t-1] = max over grid arms of
     their cumulative reward through round t, and totals is (n_grid,) at T or
     (n_grid, len(checkpoints)) when checkpoint rounds are given.
+
+    Each block's running totals are folded into its first column before the
+    cumsum, so every partial sum is the same IEEE addition, in the same
+    order, as one cumsum over all T rounds: the result is bit-identical and
+    memory is one block whatever T is.
     """
-    ts = np.arange(1, T + 1)
     cum_best = np.full(T, -np.inf)
-    cps = None if checkpoints is None else np.asarray(checkpoints, dtype=int)
-    totals = (
-        np.zeros(len(grid)) if cps is None else np.zeros((len(grid), len(cps)))
-    )
+    cps = np.asarray([T] if checkpoints is None else checkpoints, dtype=int)
+    totals = np.zeros((len(grid), len(cps)))
     for lo in range(0, len(grid), _CHUNK):
-        block = grid[lo : lo + _CHUNK]
-        cs = np.cumsum(env.reward_block(ts, block), axis=1)
-        np.maximum(cum_best, cs.max(axis=0), out=cum_best)
-        if cps is None:
-            totals[lo : lo + len(block)] = cs[:, -1]
-        else:
-            totals[lo : lo + len(block), :] = cs[:, cps - 1]
-    return cum_best, totals
+        arms = grid[lo : lo + _CHUNK]
+        carry = None
+        for t0 in range(0, T, _BLOCK):
+            t1 = min(T, t0 + _BLOCK)
+            rb = env.reward_block(np.arange(t0 + 1, t1 + 1), arms)
+            if carry is not None:
+                rb[:, 0] += carry
+            cs = np.cumsum(rb, axis=1)
+            best = cum_best[t0:t1]
+            np.maximum(best, cs.max(axis=0), out=best)
+            hit = (cps > t0) & (cps <= t1)
+            totals[lo : lo + len(arms), hit] = cs[:, cps[hit] - 1 - t0]
+            carry = cs[:, -1]
+    return cum_best, (totals[:, 0] if checkpoints is None else totals)
 
 
 # --------------------------------------------------------------------------
@@ -168,20 +177,24 @@ def eps_ladder_times(eps: float, T: int) -> list:
     return out
 
 
-def eps_optimal_set(env, grid: np.ndarray, eps: float, d: float, n_dbl: int,
-                    T: int) -> np.ndarray:
-    """Boolean mask of inclusively eps-optimal grid arms.
+def eps_optimal_set(env, grid: np.ndarray, eps_ladder, d: float, n_dbl: int,
+                    T: int) -> list:
+    """Boolean masks of inclusively eps-optimal grid arms, one per eps.
 
-    An arm qualifies if its adversarial gap drops below
+    An arm qualifies for eps if its adversarial gap drops below
     30 eps ln(T) sqrt(d ln(n_dbl T)) at some end-time on the geometric
-    ladder past eps^-2 / 9.
+    ladder past eps^-2 / 9.  All ladders share one replay: the gaps are
+    taken once at the union of their end-times.
     """
-    ts = eps_ladder_times(eps, T)
-    if not ts:
-        return np.zeros(len(grid), dtype=bool)
-    thr = 30.0 * eps * math.log(T) * math.sqrt(d * math.log(n_dbl * T))
-    gaps = gaps_at(env, grid, ts)
-    return (gaps < thr).any(axis=1)
+    ladders = [eps_ladder_times(eps, T) for eps in eps_ladder]
+    ts = sorted(set().union(*ladders))
+    gaps = gaps_at(env, grid, ts) if ts else np.zeros((len(grid), 0))
+    col = {t: j for j, t in enumerate(ts)}
+    masks = []
+    for eps, times in zip(eps_ladder, ladders):
+        thr = 30.0 * eps * math.log(T) * math.sqrt(d * math.log(n_dbl * T))
+        masks.append((gaps[:, [col[t] for t in times]] < thr).any(axis=1))
+    return masks
 
 
 # --------------------------------------------------------------------------

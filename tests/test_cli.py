@@ -1,12 +1,18 @@
 import json
+import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import advzoom
 from advzoom import cli, evaluate
 from advzoom.cli import ExperimentConfig, load_config
+from advzoom.env import env_from_spec
 
 
 def base_config(**over):
@@ -264,6 +270,72 @@ def test_cover_verb(tmp_path):
     rep = json.loads((out / "cover.json").read_text())
     assert rep["counts"][0] >= 1
     assert "z_hat" in rep
+
+
+BUMP = {"kind": "baseline_bump", "peak": 0.55, "baseline": 0.2}
+COMBINED = {"kind": "combined",
+            "instances": [dict(BUMP, support=[0.1, 0.4]),
+                          dict(BUMP, support=[0.6, 0.9])],
+            "subsets": [[0.1, 0.4], [0.6, 0.9]], "baselines": [0.2, 0.2]}
+
+
+def cover_json_per_eps(cfg, ladder) -> str:
+    """cover.json as one gaps_at replay per eps of the ladder would write it."""
+    T, d = cfg.horizon, cfg.dim
+    environment = env_from_spec(cfg.env, T, cfg.seeds[0])
+    grid = evaluate.grid_points(d, cli._grid_eps_of(cfg, T))
+    counts = []
+    for eps in ladder:
+        ts = evaluate.eps_ladder_times(eps, T)
+        mask = np.zeros(len(grid), dtype=bool)
+        if ts:
+            thr = 30.0 * eps * math.log(T) * math.sqrt(d * math.log(2**d * T))
+            mask = (evaluate.gaps_at(environment, grid, ts) < thr).any(axis=1)
+        subset = grid[mask]
+        counts.append(evaluate.covering_count(subset, eps) if len(subset) else 0)
+    report = {"eps_ladder": list(ladder), "counts": counts}
+    usable = [(e, c) for e, c in zip(ladder, counts) if c > 0]
+    if len(usable) >= 3:
+        report.update(evaluate.dimension_fit(*zip(*usable)).to_dict())
+    return json.dumps(report, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("d, env_spec, T, grid_eps", [
+    (1, COMBINED, 3000, None),
+    (2, {"kind": "distance_to_target", "target": [0.3, 0.6]}, 3000, 1 / 16),
+])
+def test_cover_fit_replays_once_and_matches_per_eps_replays(
+        tmp_path, monkeypatch, d, env_spec, T, grid_eps):
+    cfg = ExperimentConfig.from_dict(base_config(
+        space={"kind": "cube", "d": d}, env=env_spec, T=T, seeds=[4],
+        grid_eps=grid_eps))
+    # 2^-8 starts its ladder past T, so it is replayed at no end-time
+    ladder = [2.0 ** -k for k in range(2, 9)]
+    assert evaluate.eps_ladder_times(ladder[-1], T) == []
+    want = cover_json_per_eps(cfg, ladder)
+    calls = []
+    gaps_at = evaluate.gaps_at
+
+    def counted(*args):
+        calls.append(args)
+        return gaps_at(*args)
+
+    monkeypatch.setattr(evaluate, "gaps_at", counted)
+    rep = cli.cover_fit(cfg, tmp_path, eps_ladder=ladder)
+    assert len(calls) == 1
+    assert (tmp_path / "cover.json").read_text() == want
+    assert "z_hat" in rep
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only Gaussian noise; every other run skips its import
+    src = str(Path(advzoom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, advzoom.cli; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- README -------------------------------------------------------------------

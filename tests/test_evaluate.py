@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import advzoom
 from advzoom import algo, evaluate
-from advzoom.env import MeanFunction, StochasticEnv
+from advzoom.env import MeanFunction, PricingEnv, StochasticEnv, make_combined
 from advzoom.evaluate import (
     covering_count,
     dimension_fit,
@@ -128,6 +134,105 @@ def test_gap_tracks_iid_gap_on_stochastic_instance(tent_env):
         assert frac >= 0.99
 
 
+# -- blocked replay -----------------------------------------------------------
+
+
+def single_pass_replay(env, grid, T, checkpoints=None):
+    """Reference replay: one cumsum over all T rounds per 64-arm chunk."""
+    ts = np.arange(1, T + 1)
+    cum_best = np.full(T, -np.inf)
+    cps = None if checkpoints is None else np.asarray(checkpoints, dtype=int)
+    totals = (
+        np.zeros(len(grid)) if cps is None else np.zeros((len(grid), len(cps)))
+    )
+    for lo in range(0, len(grid), 64):
+        block = grid[lo : lo + 64]
+        cs = np.cumsum(env.reward_block(ts, block), axis=1)
+        np.maximum(cum_best, cs.max(axis=0), out=cum_best)
+        if cps is None:
+            totals[lo : lo + len(block)] = cs[:, -1]
+        else:
+            totals[lo : lo + len(block), :] = cs[:, cps - 1]
+    return cum_best, totals
+
+
+BLOCK = evaluate._BLOCK
+BUMPS = [MeanFunction("baseline_bump",
+                      {"peak": 1.0, "baseline": 0.0, "support": (0.05, 0.45)}),
+         MeanFunction("baseline_bump",
+                      {"peak": 1.0, "baseline": 0.0, "support": (0.55, 0.95)})]
+TENT_D2 = MeanFunction("distance_to_target",
+                       {"peak": 0.8, "target": [GOLD, 1.0 - GOLD]})
+# 101 arms at d = 1 and 100 at d = 2: two arm chunks, the second partial
+GRID_D1, GRID_D2 = grid_points(1, 1 / 100), grid_points(2, 1 / 9)
+
+
+def stochastic(mean, noise):
+    return lambda T: StochasticEnv(mean, noise=noise, seed=1)
+
+
+def combined_switching_at(switch):
+    """Two-bump combined env on instance 1 from round `switch` on.
+
+    Gaussian noise makes running sums round, so a carry added in another
+    order than one long cumsum would change the bits.
+    """
+    def make(T):
+        schedule = (np.arange(1, T + 1) >= switch).astype(np.int64)
+        return make_combined(BUMPS, schedule, [(0.05, 0.45), (0.55, 0.95)],
+                             [0.0, 0.0], T=T, noise="gauss", seed=5)
+    return make
+
+
+REPLAY_CASES = {
+    "combined_switch_inside_block": (combined_switching_at(BLOCK // 2 + 1),
+                                     GRID_D1),
+    "combined_switch_on_block_edge": (combined_switching_at(BLOCK + 1),
+                                      GRID_D1),
+    "pricing": (lambda T: PricingEnv("uniform", {"a": 0.0, "b": 1.0}, seed=2),
+                GRID_D1),
+}
+for _noise in ("bernoulli", "none", "gauss"):
+    REPLAY_CASES[f"{_noise}_d1"] = (stochastic(BUMPS[0], _noise), GRID_D1)
+    REPLAY_CASES[f"{_noise}_d2"] = (stochastic(TENT_D2, _noise), GRID_D2)
+
+
+@pytest.mark.parametrize("T", [1, BLOCK - 3, BLOCK, 2 * BLOCK + 1])
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_blocked_replay_is_bit_identical_to_one_pass(case, T):
+    make, grid = REPLAY_CASES[case]
+    env = make(T)
+    cps = sorted({t for t in (1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1)
+                  if t <= T} | {T})
+    for checkpoints in (None, cps):
+        want = single_pass_replay(env, grid, T, checkpoints)
+        got = evaluate._replay(env, grid, T, checkpoints)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+def test_replay_memory_does_not_grow_with_the_horizon():
+    # one pass over 9 arms x 2^22 rounds holds a 302 MB reward table and its
+    # temporaries at once; the blocked replay must fit in 1 GiB of address
+    # space
+    code = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from advzoom.env import MeanFunction, StochasticEnv
+        from advzoom.evaluate import gaps_at, grid_points
+        mean = MeanFunction("distance_to_target", {"peak": 0.8, "target": 0.5})
+        env = StochasticEnv(mean, seed=3)
+        gaps = gaps_at(env, grid_points(1, 1 / 8), [2**20, 2**22])
+        assert gaps.shape == (9, 2) and gaps.min() == 0.0
+    """)
+    src = str(Path(advzoom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- inclusively eps-optimal sets ----------------------------------------
 
 
@@ -146,7 +251,19 @@ def test_eps_optimal_set_threshold_above_one_takes_all():
     eps = 0.5  # threshold = 30 * 0.5 * ln 64 * sqrt(ln 128) > 1 >= any gap
     thr = 30 * eps * math.log(T) * math.sqrt(d * math.log(n_dbl * T))
     assert thr >= 1.0
-    assert eps_optimal_set(env, grid, eps, d, n_dbl, T).all()
+    assert eps_optimal_set(env, grid, [eps], d, n_dbl, T)[0].all()
+
+
+def test_eps_with_an_empty_ladder_gets_an_empty_mask():
+    env = det_env(([0, 0.49, 0.51, 1], [1.0, 1.0, 0.0, 0.0]))
+    grid = grid_points(1, 1 / 16)
+    assert eps_ladder_times(0.01, 64) == []
+    masks = eps_optimal_set(env, grid, [0.5, 0.01], 1, 2, 64)
+    assert masks[0].all()
+    assert masks[1].dtype == bool and masks[1].shape == (17,)
+    assert not masks[1].any()
+    (only,) = eps_optimal_set(env, grid, [0.01], 1, 2, 64)
+    assert only.dtype == bool and only.shape == (17,) and not only.any()
 
 
 def test_eps_optimal_set_two_arm():
@@ -160,7 +277,7 @@ def test_eps_optimal_set_two_arm():
     thr = 30 * eps * math.log(T) * math.sqrt(d * math.log(n_dbl * T))
     assert thr < 0.6
     assert eps_ladder_times(eps, T)  # the ladder reaches into [1, T]
-    mask = eps_optimal_set(env, grid, eps, d, n_dbl, T)
+    mask = eps_optimal_set(env, grid, [eps], d, n_dbl, T)[0]
     assert mask.tolist() == [True, False]
 
 
@@ -180,7 +297,7 @@ def test_eps_optimal_set_combined_concentrates_near_peaks():
     eps = 2.42e-4
     thr = 30 * eps * math.log(T) * math.sqrt(d * math.log(n_dbl * T))
     assert 0.35 < thr < 0.5  # between the near-peak and the baseline gaps
-    mask = eps_optimal_set(env, grid, eps, d, n_dbl, T)
+    mask = eps_optimal_set(env, grid, [eps], d, n_dbl, T)[0]
     members = set(grid[mask][:, 0].tolist())
     # mixture gaps: 0 at the peaks, 0.3125 one grid step away, 0.5 at the
     # baseline arms; the set is exactly the two peak neighborhoods
