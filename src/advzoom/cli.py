@@ -345,10 +345,8 @@ def cover_fit(cfg: ExperimentConfig, out_dir,
     grid = evaluate.grid_points(d, _grid_eps_of(cfg, T))
     ladder = eps_ladder or [2.0 ** -k for k in range(2, 8)]
     masks = evaluate.eps_optimal_set(environment, grid, ladder, d, n_dbl, T)
-    counts = []
-    for eps, mask in zip(ladder, masks):
-        subset = grid[mask]
-        counts.append(evaluate.covering_count(subset, eps) if len(subset) else 0)
+    counts = [evaluate.covering_count(grid[mask], eps)
+              for eps, mask in zip(ladder, masks)]
     usable = [(e, c) for e, c in zip(ladder, counts) if c > 0]
     report = {"eps_ladder": list(ladder), "counts": counts}
     if len(usable) >= 3:

@@ -124,6 +124,12 @@ class MeanFunction:
 # --------------------------------------------------------------------------
 
 
+def _checked_noise(noise: str) -> str:
+    if noise not in NOISE_KINDS:
+        raise ValueError(f"unknown noise {noise!r}")
+    return noise
+
+
 def _realize(mu: np.ndarray, u: np.ndarray, noise: str, scale: float):
     if noise == "bernoulli":
         return (u < mu).astype(np.float64)
@@ -168,10 +174,8 @@ class StochasticEnv:
 
     def __init__(self, mean: MeanFunction, noise: str = "bernoulli",
                  noise_scale: float = 0.1, seed: int = 0):
-        if noise not in NOISE_KINDS:
-            raise ValueError(f"unknown noise {noise!r}")
         self.mean = mean
-        self.noise = noise
+        self.noise = _checked_noise(noise)
         self.noise_scale = noise_scale
         self.seed = seed
         self.d = mean.d
@@ -214,7 +218,7 @@ class CombinedEnv:
         self.schedule = np.asarray(schedule, dtype=np.int64)
         self.subsets = subsets
         self.baselines = list(baselines)
-        self.noise = noise
+        self.noise = _checked_noise(noise)
         self.noise_scale = noise_scale
         self.seed = seed
         self.d = means[0].d
@@ -502,7 +506,7 @@ def _take(spec: dict, allowed: set, where: str) -> None:
 def _mean_from_spec(spec: dict, where: str = "env") -> MeanFunction:
     kind = spec.get("kind")
     if kind == "custom_table":
-        _take(spec, {"kind", "points", "path", "noise", "noise_scale"}, where)
+        _take(spec, {"kind", "points", "path"}, where)
         if "path" in spec:
             with open(spec["path"]) as f:
                 pts = [(float(r[0]), float(r[1])) for r in csv.reader(f) if r]
@@ -511,8 +515,7 @@ def _mean_from_spec(spec: dict, where: str = "env") -> MeanFunction:
         xs = [p[0] for p in pts]
         ys = [p[1] for p in pts]
         return MeanFunction("custom_table", {"xs": xs, "ys": ys})
-    _take(spec, {"kind", "target", "peak", "baseline", "support", "noise",
-                 "noise_scale"}, where)
+    _take(spec, {"kind", "target", "peak", "baseline", "support"}, where)
     params = {}
     if kind == "distance_to_target":
         params["target"] = spec.get("target", 0.6180339887498949)
@@ -561,5 +564,6 @@ def env_from_spec(spec: dict, T: int, seed: int):
         return make_combined(means, schedule, spec["subsets"],
                              spec["baselines"], T=T, noise=noise,
                              noise_scale=noise_scale, seed=seed)
-    mean = _mean_from_spec(spec)
+    mean = _mean_from_spec({k: v for k, v in spec.items()
+                            if k not in ("noise", "noise_scale")})
     return StochasticEnv(mean, noise=noise, noise_scale=noise_scale, seed=seed)

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .metric import greedy_net
 from .trace import Trace
 
 MAX_EVALS = 10**7  # guard on arm-round reward evaluations
@@ -204,18 +205,13 @@ def eps_optimal_set(env, grid: np.ndarray, eps_ladder, d: float, n_dbl: int,
 
 def covering_count(points, eps: float) -> int:
     """Greedy eps-cover size of a finite arm set under the sup metric
-    (upper bound on the covering number; ascending scan, deterministic)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if len(pts) == 0:
-        return 0
-    uncovered = np.ones(len(pts), dtype=bool)
-    count = 0
-    for i in range(len(pts)):
-        if uncovered[i]:
-            count += 1
-            dist = np.max(np.abs(pts - pts[i]), axis=1)
-            uncovered &= dist > eps / 2.0
-    return count
+    (upper bound on the covering number): the number of centres of
+    metric.greedy_net at radius eps/2, so 0 for an empty set."""
+    pts = np.asarray(points, dtype=np.float64)
+    pts = np.atleast_2d(pts) if pts.size else pts
+    return len(greedy_net(
+        len(pts), lambda c, idx: np.max(np.abs(pts[idx] - pts[c]), axis=1),
+        eps / 2.0))
 
 
 @dataclass

@@ -10,8 +10,8 @@ Two hierarchies are provided:
 
 Nodes of both hierarchies answer `scale` (cube diameter, ball radius) and
 `children` (the nodes one level down), which is all the zooming learner asks
-of them.  Plus the covering utilities both constructions rest on: greedy
-epsilon-covers and a brute-force doubling-constant estimate.
+of them.  Plus the covering utilities: one greedy net (the DAG's levels
+here, evaluate's cover counts) and a brute-force doubling-constant estimate.
 """
 
 from __future__ import annotations
@@ -203,23 +203,33 @@ class FiniteMetricSpace:
         return cls(points, dist, normalize=normalize)
 
 
+def greedy_net(n: int, dist_to, r: float) -> list:
+    """Centres of the greedy r-net of points 0..n-1, in ascending order.
+
+    Each point still uncovered, in ascending order, becomes a centre and
+    covers the uncovered points within r of it.  dist_to(c, idx) gives the
+    distances from point c to the points idx; it is asked only of the
+    points still uncovered, as a covered point is never looked at again.
+    """
+    centers = []
+    uncovered = np.arange(n)
+    while len(uncovered):
+        c, rest = int(uncovered[0]), uncovered[1:]
+        centers.append(c)
+        uncovered = rest[dist_to(c, rest) > r]
+    return centers
+
+
 def greedy_cover(space: FiniteMetricSpace, eps: float) -> list:
     """Greedy eps-covering: ball centers (point indices), radius eps/2.
 
-    Scans uncovered points in ascending index order, so output is
-    deterministic.  Guarantees every point lies within eps/2 of a returned
-    center, and centers are pairwise more than eps/2 apart.
+    The greedy_net of the space, so output is deterministic.  Guarantees
+    every point lies within eps/2 of a returned center, and centers are
+    pairwise more than eps/2 apart.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    n = len(space)
-    covered = np.zeros(n, dtype=bool)
-    centers = []
-    for i in range(n):
-        if not covered[i]:
-            centers.append(i)
-            covered |= space.dist[i] <= eps / 2.0
-    return centers
+    return greedy_net(len(space), lambda c, idx: space.dist[c, idx], eps / 2.0)
 
 
 # --------------------------------------------------------------------------
@@ -355,29 +365,24 @@ def _grow_half_diameter_set(dist, members, start, half):
 def _ball_cover_count(dist, members):
     """Cover `members` by sets of at most half their diameter.
 
-    Returns (count, exact).  Candidates are greedily grown maximal sets from
-    each member; exact minimum cover is searched when there are at most
-    _EXACT_LIMIT distinct candidates, otherwise the greedy count stands.
+    Returns (count, exact).  `members` is in ascending order.  Candidates
+    are greedily grown maximal sets from each member, each grown once;
+    exact minimum cover is searched when there are at most _EXACT_LIMIT
+    distinct candidates, otherwise the greedy count stands.
     """
-    sub = dist[np.ix_(members, members)]
-    diam = float(sub.max())
+    diam = float(dist[np.ix_(members, members)].max())
     if diam == 0.0:
         return 1, True
     half = diam / 2.0
-    candidates = []
-    seen = set()
-    for p in members:
-        s = _grow_half_diameter_set(dist, members, p, half)
-        if s not in seen:
-            seen.add(s)
-            candidates.append(s)
-    # greedy: repeatedly take the grown set of the lowest uncovered member
+    grown = [_grow_half_diameter_set(dist, members, p, half) for p in members]
+    candidates = list(dict.fromkeys(grown))
+    # greedy: the grown set of each still-uncovered member, lowest first
     uncovered = set(members)
     greedy_count = 0
-    while uncovered:
-        p = min(uncovered)
-        uncovered -= _grow_half_diameter_set(dist, members, p, half)
-        greedy_count += 1
+    for p, s in zip(members, grown):
+        if p in uncovered:
+            uncovered -= s
+            greedy_count += 1
     if len(candidates) > _EXACT_LIMIT:
         return greedy_count, False
     universe = set(members)
@@ -399,17 +404,8 @@ def doubling_constant(space: FiniteMetricSpace) -> DoublingReport:
     search; the report says which.
     """
     dist = space.dist
-    n = len(space)
-    best = 1
-    all_exact = True
-    seen_balls = set()
-    for i in range(n):
-        for r in np.unique(dist[i]):
-            members = tuple(np.flatnonzero(dist[i] <= r).tolist())
-            if len(members) < 2 or members in seen_balls:
-                continue
-            seen_balls.add(members)
-            count, exact = _ball_cover_count(dist, list(members))
-            best = max(best, count)
-            all_exact = all_exact and exact
-    return DoublingReport(value=best, exact=all_exact)
+    balls = dict.fromkeys(tuple(np.flatnonzero(row <= r).tolist())
+                          for row in dist for r in np.unique(row))
+    covers = [_ball_cover_count(dist, list(b)) for b in balls if len(b) >= 2]
+    return DoublingReport(value=max([1] + [c for c, _ in covers]),
+                          exact=all(exact for _, exact in covers))

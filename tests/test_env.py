@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -327,14 +328,8 @@ def test_audit_pricing_one_sided():
 # -- declarative construction -------------------------------------------------
 
 
-def test_env_from_spec_kinds(tmp_path):
-    env = env_from_spec({"kind": "distance_to_target"}, T=64, seed=0)
-    assert isinstance(env, StochasticEnv)
-    env = env_from_spec({"kind": "pricing",
-                         "values": {"kind": "uniform", "a": 0, "b": 1}},
-                        T=64, seed=0)
-    assert isinstance(env, PricingEnv)
-    spec = {
+def two_bump_spec():
+    return {
         "kind": "combined",
         "instances": [
             {"kind": "baseline_bump", "peak": 0.55, "baseline": 0.2,
@@ -345,7 +340,16 @@ def test_env_from_spec_kinds(tmp_path):
         "subsets": [[0.1, 0.4], [0.6, 0.9]],
         "baselines": [0.2, 0.2],
     }
-    env = env_from_spec(spec, T=64, seed=0)
+
+
+def test_env_from_spec_kinds(tmp_path):
+    env = env_from_spec({"kind": "distance_to_target"}, T=64, seed=0)
+    assert isinstance(env, StochasticEnv)
+    env = env_from_spec({"kind": "pricing",
+                         "values": {"kind": "uniform", "a": 0, "b": 1}},
+                        T=64, seed=0)
+    assert isinstance(env, PricingEnv)
+    env = env_from_spec(two_bump_spec(), T=64, seed=0)
     assert isinstance(env, CombinedEnv)
     assert env.frequencies().tolist() == [0.5, 0.5]  # default: equal phases
     csv_path = tmp_path / "table.csv"
@@ -357,3 +361,26 @@ def test_env_from_spec_kinds(tmp_path):
         env_from_spec({"kind": "distance_to_target", "sigma": 1}, T=8, seed=0)
     with pytest.raises(ValueError, match="kind"):
         env_from_spec({}, T=8, seed=0)
+
+
+def test_every_env_kind_rejects_an_unknown_noise():
+    m1, m2 = two_bumps()
+    with pytest.raises(ValueError, match="unknown noise 'bernouli'"):
+        make_combined([m1, m2], [(0, 32), (1, 32)], [(0.1, 0.4), (0.6, 0.9)],
+                      [0.2, 0.2], T=64, noise="bernouli")
+    for spec in (two_bump_spec(), {"kind": "distance_to_target"}):
+        with pytest.raises(ValueError, match="unknown noise 'bernouli'"):
+            env_from_spec(dict(spec, noise="bernouli"), T=64, seed=0)
+
+
+@pytest.mark.parametrize("key,value", [("noise", "none"),
+                                       ("noise_scale", 0.3)])
+def test_noise_keys_belong_to_the_env_not_its_instances(key, value):
+    spec = two_bump_spec()
+    spec["instances"][0][key] = value
+    with pytest.raises(ValueError, match=re.escape(
+            f"unknown keys ['{key}'] in env.instances[0]")):
+        env_from_spec(spec, T=64, seed=0)
+    for top in (two_bump_spec(), {"kind": "distance_to_target"}):
+        env = env_from_spec(dict(top, **{key: value}), T=64, seed=0)
+        assert getattr(env, key) == value

@@ -23,7 +23,7 @@ from advzoom.evaluate import (
     regret,
 )
 from advzoom.trace import NodeMeta, RoundRecord, Trace
-from conftest import GOLD, tent_mean
+from conftest import GOLD, cover_eps_ladder, sup_dist, tent_mean, tied_points
 
 
 def adversarial_gap(env, grid, t, x):
@@ -312,6 +312,40 @@ def test_covering_single_point():
     ladder = [1 / 4, 1 / 8, 1 / 16]
     rep = dimension_fit(ladder, [1, 1, 1])
     assert rep.z_hat == pytest.approx(0.0, abs=1e-12)
+
+
+def test_covering_count_of_an_empty_set_is_zero():
+    assert covering_count([], 0.25) == 0
+    assert covering_count(np.zeros((0, 2)), 0.25) == 0
+
+
+def covering_count_reference(points, eps):
+    """covering_count as a mask loop over every point's distance per centre."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    uncovered = np.ones(len(pts), dtype=bool)
+    count = 0
+    for i in range(len(pts)):
+        if uncovered[i]:
+            count += 1
+            uncovered &= np.max(np.abs(pts - pts[i]), axis=1) > eps / 2.0
+    return count
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_covering_count_matches_the_reference_loop(d):
+    rng = np.random.default_rng(30 + d)
+    for _ in range(60):
+        pts = tied_points(rng, int(rng.integers(1, 25)), d)
+        for eps in cover_eps_ladder(sup_dist(pts)):
+            assert covering_count(pts, eps) == \
+                covering_count_reference(pts, eps)
+    # near-optimal-like subsets of the evaluation grid, on the cover-fit ladder
+    grid = grid_points(d, 1 / 32 if d == 1 else 1 / 16)
+    for _ in range(10):
+        subset = grid[rng.random(len(grid)) < rng.random()]
+        for eps in [2.0 ** -k for k in range(0, 8)]:
+            assert covering_count(subset, eps) == \
+                covering_count_reference(subset, eps)
 
 
 def test_dimension_fit_recovers_exact_ladders():
