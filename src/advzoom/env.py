@@ -536,14 +536,17 @@ def env_from_spec(spec: dict, T: int, seed: int):
     kind = spec.get("kind")
     if kind is None:
         raise ValueError("environment spec needs a 'kind'")
-    noise = spec.get("noise", "bernoulli")
-    noise_scale = float(spec.get("noise_scale", 0.1))
     if kind == "pricing":
         _take(spec, {"kind", "values"}, "env")
         values = dict(spec.get("values", {"kind": "uniform"}))
         vkind = values.pop("kind", "uniform")
         _take(values, {"a", "b", "support"}, "env.values")
         return PricingEnv(vkind, values, seed=seed)
+    noise = _checked_noise(spec.get("noise", "bernoulli"))
+    if "noise_scale" in spec and noise != "gauss":
+        raise ValueError(f"noise_scale needs \"noise\": \"gauss\", "
+                         f"not noise {noise!r}")
+    noise_scale = float(spec.get("noise_scale", 0.1))
     if kind == "combined":
         _take(spec, {"kind", "instances", "subsets", "baselines", "schedule",
                      "noise", "noise_scale"}, "env")

@@ -16,6 +16,7 @@ here, evaluate's cover counts) and a brute-force doubling-constant estimate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -350,47 +351,43 @@ class DoublingReport:
 _EXACT_LIMIT = 12  # exact minimum set cover only up to this many candidates
 
 
-def _grow_half_diameter_set(dist, members, start, half):
-    """Grow a maximal diameter-<=half subset of `members` from `start`,
-    scanning members in ascending order (deterministic)."""
-    maxd = dist[start].copy()
-    taken = [start]
-    for q in members:
-        if q != start and maxd[q] <= half + 1e-12:
-            taken.append(q)
-            maxd = np.maximum(maxd, dist[q])
-    return frozenset(taken)
+def _half_diameter_sets(sub, half):
+    """Each member's maximal diameter-<=half set, a bitmask over the rows of
+    `sub`: from s, take the lowest member within `half` of all taken."""
+    near = sub <= half + 1e-12
+    np.fill_diagonal(near, False)
+    rows = np.packbits(near, axis=1, bitorder="little")
+    others = {1 << i: int.from_bytes(r.tobytes(), "little")
+              for i, r in enumerate(rows)}
+    sets = []
+    for taken, cand in others.items():
+        while cand:  # candidates only shrink: the lowest is the next taken
+            low = cand & -cand
+            taken |= low
+            cand &= others[low]
+        sets.append(taken)
+    return sets
 
 
 def _ball_cover_count(dist, members):
-    """Cover `members` by sets of at most half their diameter.
-
-    Returns (count, exact).  `members` is in ascending order.  Candidates
-    are greedily grown maximal sets from each member, each grown once;
-    exact minimum cover is searched when there are at most _EXACT_LIMIT
-    distinct candidates, otherwise the greedy count stands.
-    """
-    diam = float(dist[np.ix_(members, members)].max())
-    if diam == 0.0:
-        return 1, True
-    half = diam / 2.0
-    grown = [_grow_half_diameter_set(dist, members, p, half) for p in members]
+    """(count, exact) for covering `members` (ascending) by sets of at most
+    half their diameter: exact minimum cover over the distinct grown sets
+    when there are at most _EXACT_LIMIT of them, else the greedy count."""
+    sub = dist[np.ix_(members, members)]
+    grown = _half_diameter_sets(sub, float(sub.max()) / 2.0)
     candidates = list(dict.fromkeys(grown))
     # greedy: the grown set of each still-uncovered member, lowest first
-    uncovered = set(members)
+    full = uncovered = (1 << len(members)) - 1
     greedy_count = 0
-    for p, s in zip(members, grown):
-        if p in uncovered:
-            uncovered -= s
+    for i, g in enumerate(grown):
+        if uncovered >> i & 1:
+            uncovered &= ~g
             greedy_count += 1
     if len(candidates) > _EXACT_LIMIT:
         return greedy_count, False
-    universe = set(members)
-    for k in range(1, len(candidates) + 1):
-        if k >= greedy_count:
-            break
+    for k in range(1, min(greedy_count, len(candidates) + 1)):
         for combo in itertools.combinations(candidates, k):
-            if set().union(*combo) >= universe:
+            if functools.reduce(int.__or__, combo) == full:
                 return k, True
     return greedy_count, True
 

@@ -38,6 +38,10 @@ def sup_dist(pts):
     return np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
 
 
+def euclid_dist(pts):
+    return np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2))
+
+
 def cover_eps_ladder(dist):
     """Cover scales eps from below the least positive distance to above the
     diameter, with eps/2 equal to every distance present, so that points

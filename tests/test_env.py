@@ -369,8 +369,10 @@ def test_every_env_kind_rejects_an_unknown_noise():
         make_combined([m1, m2], [(0, 32), (1, 32)], [(0.1, 0.4), (0.6, 0.9)],
                       [0.2, 0.2], T=64, noise="bernouli")
     for spec in (two_bump_spec(), {"kind": "distance_to_target"}):
-        with pytest.raises(ValueError, match="unknown noise 'bernouli'"):
-            env_from_spec(dict(spec, noise="bernouli"), T=64, seed=0)
+        for scale in ({}, {"noise_scale": 0.3}):
+            with pytest.raises(ValueError, match="unknown noise 'bernouli'"):
+                env_from_spec(dict(spec, noise="bernouli", **scale), T=64,
+                              seed=0)
 
 
 @pytest.mark.parametrize("key,value", [("noise", "none"),
@@ -381,6 +383,17 @@ def test_noise_keys_belong_to_the_env_not_its_instances(key, value):
     with pytest.raises(ValueError, match=re.escape(
             f"unknown keys ['{key}'] in env.instances[0]")):
         env_from_spec(spec, T=64, seed=0)
+    gauss = {"noise": "gauss"} if key == "noise_scale" else {}
     for top in (two_bump_spec(), {"kind": "distance_to_target"}):
-        env = env_from_spec(dict(top, **{key: value}), T=64, seed=0)
+        env = env_from_spec(dict(top, **gauss, **{key: value}), T=64, seed=0)
         assert getattr(env, key) == value
+
+
+@pytest.mark.parametrize("noise", [None, "bernoulli", "none"])
+def test_noise_scale_without_gauss_noise_is_rejected(noise):
+    given = {} if noise is None else {"noise": noise}
+    for top in (two_bump_spec(), {"kind": "distance_to_target"}):
+        with pytest.raises(ValueError, match=re.escape(
+                f"noise_scale needs \"noise\": \"gauss\", not noise "
+                f"{noise or 'bernoulli'!r}")):
+            env_from_spec(dict(top, **given, noise_scale=0.3), T=64, seed=0)

@@ -1,4 +1,3 @@
-import collections
 import itertools
 import os
 import subprocess
@@ -8,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import advzoom
 from advzoom import metric
@@ -25,7 +26,7 @@ from advzoom.metric import (
     greedy_cover,
     representative,
 )
-from conftest import cover_eps_ladder, sup_dist, tied_points
+from conftest import cover_eps_ladder, euclid_dist, sup_dist, tied_points
 
 
 def line_space(n):
@@ -60,9 +61,22 @@ def greedy_cover_reference(space, eps):
     return centers
 
 
+def _grow_half_diameter_set(dist, members, start, half):
+    """Grow a maximal diameter-<=half subset of `members` from `start`,
+    scanning members in ascending order (deterministic)."""
+    maxd = dist[start].copy()
+    taken = [start]
+    for q in members:
+        if q != start and maxd[q] <= half + 1e-12:
+            taken.append(q)
+            maxd = np.maximum(maxd, dist[q])
+    return frozenset(taken)
+
+
 def ball_cover_count_reference(dist, members):
-    """_ball_cover_count growing every set twice: once per member for the
-    candidates, and again for each lowest uncovered member in the greedy."""
+    """_ball_cover_count on frozensets, growing every set twice: once per
+    member for the candidates, and again for each lowest uncovered member
+    in the greedy."""
     sub = dist[np.ix_(members, members)]
     diam = float(sub.max())
     if diam == 0.0:
@@ -71,7 +85,7 @@ def ball_cover_count_reference(dist, members):
     candidates = []
     seen = set()
     for p in members:
-        s = metric._grow_half_diameter_set(dist, members, p, half)
+        s = _grow_half_diameter_set(dist, members, p, half)
         if s not in seen:
             seen.add(s)
             candidates.append(s)
@@ -79,7 +93,7 @@ def ball_cover_count_reference(dist, members):
     greedy_count = 0
     while uncovered:
         p = min(uncovered)
-        uncovered -= metric._grow_half_diameter_set(dist, members, p, half)
+        uncovered -= _grow_half_diameter_set(dist, members, p, half)
         greedy_count += 1
     if len(candidates) > metric._EXACT_LIMIT:
         return greedy_count, False
@@ -381,15 +395,22 @@ def test_doubling_cube_grids():
     assert int(rep2) == rep2.value
 
 
+def doubling_reference(dist):
+    """The doubling report built from the reference count of every ball."""
+    counts = [ball_cover_count_reference(dist, list(members))
+              for members in distinct_balls(dist)]
+    return DoublingReport(value=max([1] + [c for c, _ in counts]),
+                          exact=all(exact for _, exact in counts))
+
+
 def assert_doubling_matches_the_reference(dist):
-    counts = []
-    for members in distinct_balls(dist):
-        got = _ball_cover_count(dist, list(members))
-        assert got == ball_cover_count_reference(dist, list(members))
-        counts.append(got)
-    expected = DoublingReport(value=max([1] + [c for c, _ in counts]),
-                              exact=all(exact for _, exact in counts))
-    sp = FiniteMetricSpace(list(range(len(dist))), dist)
+    """Every ball's count and the report, on the space of `dist` rescaled
+    to diameter <= 1."""
+    sp = FiniteMetricSpace(list(range(len(dist))), dist, normalize=True)
+    for members in distinct_balls(sp.dist):
+        assert (_ball_cover_count(sp.dist, list(members))
+                == ball_cover_count_reference(sp.dist, list(members)))
+    expected = doubling_reference(sp.dist)
     assert doubling_constant(sp) == expected
     return expected
 
@@ -406,20 +427,59 @@ def test_ball_cover_counts_match_the_reference(d):
     assert not rep.exact
 
 
-def test_each_ball_grows_each_members_set_once(monkeypatch):
-    sp = line_space(12)
-    grow = metric._grow_half_diameter_set
-    calls = collections.Counter()
+@pytest.mark.parametrize("d", [2, 3])
+def test_ball_cover_counts_match_the_reference_under_euclid(d):
+    # grid points of [0,1]^d have Euclidean diameter up to sqrt(d), so the
+    # spaces are built with normalize=True
+    rng = np.random.default_rng(30 + d)
+    for _ in range(30):
+        n = int(rng.integers(2, 21))
+        assert_doubling_matches_the_reference(
+            euclid_dist(tied_points(rng, n, d)))
 
-    def counting(dist, members, start, half):
-        calls[tuple(members), start] += 1
-        return grow(dist, members, start, half)
 
-    monkeypatch.setattr(metric, "_grow_half_diameter_set", counting)
-    doubling_constant(sp)
-    assert set(calls) == {(ball, p) for ball in distinct_balls(sp.dist)
-                          for p in ball}
-    assert set(calls.values()) == {1}
+def test_ball_cover_counts_beyond_one_machine_word():
+    # 70 points on 9 grid positions of a line: the whole space is a
+    # 70-member ball, wider than a 64-bit mask
+    pts = np.random.default_rng(70).integers(0, 9, size=(70, 1)) / 8
+    assert np.ptp(pts) == 1.0
+    assert_doubling_matches_the_reference(sup_dist(pts))
+    # the whole ball of 70 evenly spaced points: more than _EXACT_LIMIT
+    # candidates, so the greedy count stands
+    dist = line_space(70).dist
+    got = _ball_cover_count(dist, list(range(70)))
+    assert got == ball_cover_count_reference(dist, list(range(70)))
+    assert got[1] is False
+
+
+def test_each_members_grown_set_matches_the_reference():
+    for d in (1, 2):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(10):
+            dist = sup_dist(tied_points(rng, int(rng.integers(2, 21)), d))
+            for members in distinct_balls(dist):
+                sub = dist[np.ix_(members, members)]
+                half = float(sub.max()) / 2.0
+                grown = metric._half_diameter_sets(sub, half)
+                assert len(grown) == len(members)
+                for p, mask in zip(members, grown):
+                    got = {q for i, q in enumerate(members) if mask >> i & 1}
+                    want = _grow_half_diameter_set(dist, members, p, half)
+                    assert got == want
+                    assert mask >> len(members) == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 10), d=st.integers(1, 3), k=st.integers(1, 8),
+       euclid=st.booleans(), data=st.data())
+def test_doubling_constant_equals_the_reference_report(n, d, k, euclid, data):
+    cells = data.draw(st.lists(st.lists(st.integers(0, k), min_size=d,
+                                        max_size=d),
+                               min_size=n, max_size=n))
+    pts = np.array(cells, dtype=np.float64) / k
+    dist = (euclid_dist if euclid else sup_dist)(pts)
+    sp = FiniteMetricSpace(list(range(n)), dist, normalize=True)
+    assert doubling_constant(sp) == doubling_reference(sp.dist)
 
 
 @pytest.mark.parametrize("seed,value", [(0, 23), (1, 25)])
