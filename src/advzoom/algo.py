@@ -203,7 +203,8 @@ class AlgState:
 
         # hot per-node state, parallel to self.nodes (activation order)
         self.nodes = [u for u, _ in level]  # underlying CubeNode / DagNode
-        self.ids = [self._register(u, log_cp, None, 1) for u, log_cp in level]
+        self.ids = tuple(self._register(u, log_cp, None, 1)
+                         for u, log_cp in level)
         self.g_hat = np.zeros(len(level))
         self.s_conf = np.zeros(len(level))
         self.log_c_prod = np.array([log_cp for _, log_cp in level])
@@ -351,10 +352,10 @@ def zoom_in(state: AlgState, zoom_idx: Sequence[int]) -> list:
     state.expm1_scale = np.concatenate(
         [state.expm1_scale[survivors], expm1_scale])
     state.nodes = [state.nodes[i] for i in survivors] + [c for c, _, _ in born]
-    state.ids = [state.ids[i] for i in survivors] + [
+    state.ids = tuple([state.ids[i] for i in survivors] + [
         state._register(c, log_cp, state.ids[i], state.t + 1)
         for c, log_cp, i in born
-    ]
+    ])
     return zoomed_ids
 
 
@@ -388,7 +389,7 @@ def step(state: AlgState, env) -> RoundRecord:
     # snapshots describe the active set of *this* round, taken before zooming
     snap_ids = snap_pi = snap_ghat = None
     if state.config.record_state:
-        snap_ids = tuple(state.ids)
+        snap_ids = state.ids  # a tuple, rebuilt only by zoom_in
         snap_pi = pi.copy()
         snap_ghat = state.g_hat.copy()
 

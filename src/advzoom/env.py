@@ -130,6 +130,13 @@ def _checked_noise(noise: str) -> str:
     return noise
 
 
+def _checked_scale(scale: float) -> float:
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ValueError(
+            f"noise_scale must be finite and non-negative, not {scale!r}")
+    return scale
+
+
 def _realize(mu: np.ndarray, u: np.ndarray, noise: str, scale: float):
     if noise == "bernoulli":
         return (u < mu).astype(np.float64)
@@ -176,7 +183,7 @@ class StochasticEnv:
                  noise_scale: float = 0.1, seed: int = 0):
         self.mean = mean
         self.noise = _checked_noise(noise)
-        self.noise_scale = noise_scale
+        self.noise_scale = _checked_scale(noise_scale)
         self.seed = seed
         self.d = mean.d
         self._key = stream_key(seed, "env.noise")
@@ -219,7 +226,7 @@ class CombinedEnv:
         self.subsets = subsets
         self.baselines = list(baselines)
         self.noise = _checked_noise(noise)
-        self.noise_scale = noise_scale
+        self.noise_scale = _checked_scale(noise_scale)
         self.seed = seed
         self.d = means[0].d
         self.T = len(self.schedule)

@@ -287,87 +287,152 @@ def monitor(trace: Trace, tol: float = 1e-9) -> list:
     respect h <= log2(tau1) and h <= 1 + log2 T; and the total inherited
     diameter stays below 4 t log2(T) L(u).  Returns the empty list on a
     conforming trace.
+
+    Rounds are checked a block at a time (see _monitor_blocks), with each
+    node's sums carried from block to block.  Every sum is then the same
+    IEEE addition, in the same order, as in a round-by-round loop, and the
+    violations come in that loop's order: activation heights first, then
+    round by round the distribution and node-count checks, each active
+    node's checks in activation order, and the round's zoom-ins.
     """
-    out = []
     if any(rec.pi is None or rec.active_ids is None for rec in trace.rounds):
         raise ValueError("monitor needs a trace recorded with state snapshots")
-    T = trace.T
-    log2T = math.log2(T) if T > 1 else 0.0
-    s_conf: dict = {}
-    mass: dict = {}
-    inh: dict = {}
+    log2T = math.log2(trace.T) if trace.T > 1 else 0.0
+    out = [Violation("height_activated", meta.tau0, meta.node_id,
+                     f"h={meta.height} > 1 + log2 T")
+           for meta in trace.node_table.values()
+           if meta.height > 1 + log2T + tol]
+    carry: dict = {}  # node_id -> (s_conf, mass, inh) through the last block
     final: dict = {}  # node_id -> (s_conf, inh) frozen at its zoom-in round
+    for block in _monitor_blocks(trace.rounds):
+        out += _check_block(trace, block, tol, log2T, carry, final)
+    return out
 
-    for meta in trace.node_table.values():
-        if meta.height > 1 + log2T + tol:
-            out.append(Violation("height_activated", meta.tau0, meta.node_id,
-                                 f"h={meta.height} > 1 + log2 T"))
 
-    for rec in trace.rounds:
-        t = rec.t
-        pi = rec.pi
+def _monitor_blocks(rounds):
+    """Runs of at most _BLOCK rounds with one active set, cut after every
+    round that zooms: within a run each node's sums are running sums down
+    one column, and only its last round can have zoom-ins.  Cutting more
+    often changes no result, so active sets are compared by equality."""
+    lo = 0
+    for i, rec in enumerate(rounds):
         ids = rec.active_ids
-        n = len(ids)
-        if abs(float(pi.sum()) - 1.0) > 1e-12:
-            out.append(Violation("pi_sum", t, None, f"sum={pi.sum()!r}"))
-        if float(pi.min()) < rec.gamma / n - 1e-12:
-            out.append(Violation("pi_floor", t, None,
-                                 f"min={pi.min()!r} < gamma/n"))
-        if trace.space_kind == "cube":
-            d = float(trace.d)
-            bound = (9.0 * t) ** (d / (d + 2.0))
-            if n > bound + tol:
-                out.append(Violation("node_count", t, None,
-                                     f"|A_t|={n} > (9t)^(d/(d+2))={bound:.4g}"))
-        for i, nid in enumerate(ids):
-            meta = trace.node_table[nid]
-            if nid not in s_conf:
-                if meta.parent_id is not None and meta.parent_id in final:
-                    s_conf[nid], inh[nid] = final[meta.parent_id]
-                else:
-                    s_conf[nid], inh[nid] = 0.0, 0.0
-                mass[nid] = 0.0
-            p = float(pi[i])
-            s_conf[nid] += rec.beta / p
-            mass[nid] += p
-            inh[nid] += meta.scale
-            conf_tot = 1.0 / rec.beta + s_conf[nid]
-            if conf_tot < (t - 1) * meta.scale - tol:
+        if len(rec.pi) != len(ids):
+            raise ValueError(f"round {rec.t}: {len(rec.pi)} probabilities "
+                             f"for {len(ids)} active nodes")
+        head = rounds[lo].active_ids
+        if i > lo and (i - lo == _BLOCK or rounds[i - 1].zoomed
+                       or (ids is not head and ids != head)):
+            yield rounds[lo:i]
+            lo = i
+    if rounds:
+        yield rounds[lo:]
+
+
+def _running_sums(rows: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Running totals down each column of rows, continuing from start."""
+    rows[0] += start
+    return np.cumsum(rows, axis=0)
+
+
+def _check_block(trace: Trace, block: list, tol: float, log2T: float,
+                 carry: dict, final: dict) -> list:
+    """Violations of one run from _monitor_blocks; advances carry and,
+    for the nodes zoomed in its last round, final."""
+    out = []
+    ids = block[0].active_ids
+    n = len(ids)
+    if len(set(ids)) != n:
+        raise ValueError(f"round {block[0].t}: an active id repeats")
+    metas = [trace.node_table[nid] for nid in ids]
+    for nid, meta in zip(ids, metas):
+        if nid not in carry:  # newly active: start from the parent's sums
+            s, h = final.get(meta.parent_id, (0.0, 0.0))
+            carry[nid] = (s, 0.0, h)
+    start = np.array([carry[nid] for nid in ids]).reshape(n, 3).T
+    ts = np.array([rec.t for rec in block], dtype=np.float64)
+    beta = np.array([rec.beta for rec in block])
+    gamma = np.array([rec.gamma for rec in block])
+    P = np.stack([rec.pi for rec in block])
+    Ls = np.array([meta.scale for meta in metas], dtype=np.float64)
+
+    sums, mins = P.sum(axis=1), P.min(axis=1)
+    s_conf = _running_sums(beta[:, None] / P, start[0])
+    mass = _running_sums(P.copy(), start[1])
+    inh = _running_sums(np.tile(Ls, (len(block), 1)), start[2])
+    conf_tot = (1.0 / beta)[:, None] + s_conf
+    bad_conf = conf_tot < (ts - 1.0)[:, None] * Ls - tol
+    bad_inh = (inh > (4.0 * ts * log2T)[:, None] * Ls + tol if trace.T > 1
+               else np.zeros_like(bad_conf))
+    bad_node = bad_conf | bad_inh
+    bad_sum = np.abs(sums - 1.0) > 1e-12
+    bad_min = mins < gamma / n - 1e-12
+    bad_count = np.zeros(len(block), dtype=bool)
+    if trace.space_kind == "cube":
+        d = float(trace.d)
+        # Python's float pow per round: np.power is not known to agree
+        # with C pow in the last ulp
+        bounds = [(9.0 * rec.t) ** (d / (d + 2.0)) for rec in block]
+        bad_count = n > np.array(bounds) + tol
+
+    rows = bad_sum | bad_min | bad_count | bad_node.any(axis=1)
+    for r in np.flatnonzero(rows):
+        rt = block[r].t
+        if bad_sum[r]:
+            out.append(Violation("pi_sum", rt, None, f"sum={sums[r]!r}"))
+        if bad_min[r]:
+            out.append(Violation("pi_floor", rt, None,
+                                 f"min={mins[r]!r} < gamma/n"))
+        if bad_count[r]:
+            out.append(Violation(
+                "node_count", rt, None,
+                f"|A_t|={n} > (9t)^(d/(d+2))={bounds[r]:.4g}"))
+        for j in np.flatnonzero(bad_node[r]):
+            nid, scale = ids[j], metas[j].scale
+            if bad_conf[r, j]:
                 out.append(Violation(
-                    "zooming_invariant", t, nid,
-                    f"conf_tot={conf_tot:.6g} < (t-1)L={(t - 1) * meta.scale:.6g}",
+                    "zooming_invariant", rt, nid,
+                    f"conf_tot={float(conf_tot[r, j]):.6g} < "
+                    f"(t-1)L={(rt - 1) * scale:.6g}",
                 ))
-            if T > 1 and inh[nid] > 4.0 * t * log2T * meta.scale + tol:
+            if bad_inh[r, j]:
                 out.append(Violation(
-                    "inherited_diameter", t, nid,
-                    f"sum L(act)={inh[nid]:.6g} > 4 t log2(T) L",
+                    "inherited_diameter", rt, nid,
+                    f"sum L(act)={float(inh[r, j]):.6g} > 4 t log2(T) L",
                 ))
-        idx_of = {nid: i for i, nid in enumerate(ids)}
-        for nid in rec.zoomed:
-            meta = trace.node_table[nid]
-            L = meta.scale
-            p = float(pi[idx_of[nid]])
-            if mass[nid] < 1.0 / (9.0 * L * L) - tol:
+    for nid, s, m, h in zip(ids, s_conf[-1].tolist(), mass[-1].tolist(),
+                            inh[-1].tolist()):
+        carry[nid] = (s, m, h)
+
+    rec = block[-1]
+    t = rec.t
+    col = {nid: j for j, nid in enumerate(ids)}
+    for nid in rec.zoomed:
+        meta = trace.node_table[nid]
+        L = meta.scale
+        p = float(P[-1, col[nid]])
+        s, m, h = carry[nid]
+        if m < 1.0 / (9.0 * L * L) - tol:
+            out.append(Violation(
+                "zoom_mass", t, nid,
+                f"mass={m:.6g} < 1/(9 L^2)={1.0 / (9 * L * L):.6g}",
+            ))
+        if p < rec.beta / math.exp(L) - 1e-12:
+            out.append(Violation(
+                "zoom_probability", t, nid,
+                f"pi={p:.6g} < beta/e^L={rec.beta / math.exp(L):.6g}",
+            ))
+        if meta.height > math.log2(t) + tol:
+            out.append(Violation(
+                "height_zoomed", t, nid, f"h={meta.height} > log2(tau1)"
+            ))
+        parent = meta.parent_id
+        if parent is not None:
+            p_tau1 = trace.node_table[parent].tau1
+            if p_tau1 is not None and t < 2 * p_tau1 - 2:
                 out.append(Violation(
-                    "zoom_mass", t, nid,
-                    f"mass={mass[nid]:.6g} < 1/(9 L^2)={1.0 / (9 * L * L):.6g}",
+                    "lifespan", t, nid,
+                    f"tau1={t} < 2 tau1(parent) - 2 = {2 * p_tau1 - 2}",
                 ))
-            if p < rec.beta / math.exp(L) - 1e-12:
-                out.append(Violation(
-                    "zoom_probability", t, nid,
-                    f"pi={p:.6g} < beta/e^L={rec.beta / math.exp(L):.6g}",
-                ))
-            if meta.height > math.log2(t) + tol:
-                out.append(Violation(
-                    "height_zoomed", t, nid, f"h={meta.height} > log2(tau1)"
-                ))
-            parent = meta.parent_id
-            if parent is not None:
-                p_tau1 = trace.node_table[parent].tau1
-                if p_tau1 is not None and t < 2 * p_tau1 - 2:
-                    out.append(Violation(
-                        "lifespan", t, nid,
-                        f"tau1={t} < 2 tau1(parent) - 2 = {2 * p_tau1 - 2}",
-                    ))
-            final[nid] = (s_conf[nid], inh[nid])
+        final[nid] = (s, h)
     return out

@@ -351,7 +351,7 @@ def test_zoom_in_inheritance():
     assert st.nodes == [st.nodes[0]] + [c for p in parents for c in p.children]
     assert st.g_hat.tolist() == [3.0, 1.0, 1.0, 2.0, 2.0]
     assert st.s_conf.tolist() == [6.0, 4.0, 4.0, 5.0, 5.0]
-    assert st.ids[1:] == list(range(first_new, first_new + 4))
+    assert st.ids[1:] == tuple(range(first_new, first_new + 4))
     assert [st.trace.node_table[i].tau0 for i in st.ids[1:]] == [10] * 4
 
 

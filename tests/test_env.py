@@ -397,3 +397,27 @@ def test_noise_scale_without_gauss_noise_is_rejected(noise):
                 f"noise_scale needs \"noise\": \"gauss\", not noise "
                 f"{noise or 'bernoulli'!r}")):
             env_from_spec(dict(top, **given, noise_scale=0.3), T=64, seed=0)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -0.5, -1e-300])
+def test_noise_scale_must_be_finite_and_non_negative(scale):
+    m1, m2 = two_bumps()
+    msg = re.escape(f"noise_scale must be finite and non-negative, "
+                    f"not {scale!r}")
+    with pytest.raises(ValueError, match=msg):
+        make_combined([m1, m2], [(0, 32), (1, 32)], [(0.1, 0.4), (0.6, 0.9)],
+                      [0.2, 0.2], T=64, noise="gauss", noise_scale=scale)
+    with pytest.raises(ValueError, match=msg):
+        StochasticEnv(tent_mean(), noise="gauss", noise_scale=scale)
+    for top in (two_bump_spec(), {"kind": "distance_to_target"}):
+        with pytest.raises(ValueError, match=msg):
+            env_from_spec(dict(top, noise="gauss", noise_scale=scale), T=64,
+                          seed=0)
+
+
+def test_zero_noise_scale_gives_the_mean():
+    for top in (two_bump_spec(), {"kind": "distance_to_target"}):
+        env = env_from_spec(dict(top, noise="gauss", noise_scale=0.0), T=64,
+                            seed=0)
+        rewards = [env.reward(t, (0.3,)) for t in range(1, 9)]
+        assert rewards == [float(env.mean_at(t, 0.3)) for t in range(1, 9)]

@@ -21,7 +21,9 @@ from advzoom.evaluate import (
     loglog_slope,
     monitor,
     regret,
+    Violation,
 )
+from advzoom.metric import FiniteMetricSpace
 from advzoom.trace import NodeMeta, RoundRecord, Trace
 from conftest import GOLD, cover_eps_ladder, sup_dist, tent_mean, tied_points
 
@@ -495,3 +497,181 @@ def test_inherited_diameter_bound_on_real_run(tent_env):
     # children were activated, so some sums carry inherited rounds
     assert any(m.parent_id is not None for m in tr.node_table.values())
     assert [v for v in monitor(tr) if v.check == "inherited_diameter"] == []
+
+
+# -- blocked monitor against the round-by-round reference --------------------
+
+
+def monitor_reference(trace: Trace, tol: float = 1e-9) -> list:
+    """The monitor as one loop over every (round, active node) pair: the
+    reference that the blocked evaluate.monitor must equal exactly."""
+    out = []
+    if any(rec.pi is None or rec.active_ids is None for rec in trace.rounds):
+        raise ValueError("monitor needs a trace recorded with state snapshots")
+    T = trace.T
+    log2T = math.log2(T) if T > 1 else 0.0
+    s_conf: dict = {}
+    mass: dict = {}
+    inh: dict = {}
+    final: dict = {}  # node_id -> (s_conf, inh) frozen at its zoom-in round
+
+    for meta in trace.node_table.values():
+        if meta.height > 1 + log2T + tol:
+            out.append(Violation("height_activated", meta.tau0, meta.node_id,
+                                 f"h={meta.height} > 1 + log2 T"))
+
+    for rec in trace.rounds:
+        t = rec.t
+        pi = rec.pi
+        ids = rec.active_ids
+        n = len(ids)
+        if abs(float(pi.sum()) - 1.0) > 1e-12:
+            out.append(Violation("pi_sum", t, None, f"sum={pi.sum()!r}"))
+        if float(pi.min()) < rec.gamma / n - 1e-12:
+            out.append(Violation("pi_floor", t, None,
+                                 f"min={pi.min()!r} < gamma/n"))
+        if trace.space_kind == "cube":
+            d = float(trace.d)
+            bound = (9.0 * t) ** (d / (d + 2.0))
+            if n > bound + tol:
+                out.append(Violation("node_count", t, None,
+                                     f"|A_t|={n} > (9t)^(d/(d+2))={bound:.4g}"))
+        for i, nid in enumerate(ids):
+            meta = trace.node_table[nid]
+            if nid not in s_conf:
+                if meta.parent_id is not None and meta.parent_id in final:
+                    s_conf[nid], inh[nid] = final[meta.parent_id]
+                else:
+                    s_conf[nid], inh[nid] = 0.0, 0.0
+                mass[nid] = 0.0
+            p = float(pi[i])
+            s_conf[nid] += rec.beta / p
+            mass[nid] += p
+            inh[nid] += meta.scale
+            conf_tot = 1.0 / rec.beta + s_conf[nid]
+            if conf_tot < (t - 1) * meta.scale - tol:
+                out.append(Violation(
+                    "zooming_invariant", t, nid,
+                    f"conf_tot={conf_tot:.6g} < (t-1)L={(t - 1) * meta.scale:.6g}",
+                ))
+            if T > 1 and inh[nid] > 4.0 * t * log2T * meta.scale + tol:
+                out.append(Violation(
+                    "inherited_diameter", t, nid,
+                    f"sum L(act)={inh[nid]:.6g} > 4 t log2(T) L",
+                ))
+        idx_of = {nid: i for i, nid in enumerate(ids)}
+        for nid in rec.zoomed:
+            meta = trace.node_table[nid]
+            L = meta.scale
+            p = float(pi[idx_of[nid]])
+            if mass[nid] < 1.0 / (9.0 * L * L) - tol:
+                out.append(Violation(
+                    "zoom_mass", t, nid,
+                    f"mass={mass[nid]:.6g} < 1/(9 L^2)={1.0 / (9 * L * L):.6g}",
+                ))
+            if p < rec.beta / math.exp(L) - 1e-12:
+                out.append(Violation(
+                    "zoom_probability", t, nid,
+                    f"pi={p:.6g} < beta/e^L={rec.beta / math.exp(L):.6g}",
+                ))
+            if meta.height > math.log2(t) + tol:
+                out.append(Violation(
+                    "height_zoomed", t, nid, f"h={meta.height} > log2(tau1)"
+                ))
+            parent = meta.parent_id
+            if parent is not None:
+                p_tau1 = trace.node_table[parent].tau1
+                if p_tau1 is not None and t < 2 * p_tau1 - 2:
+                    out.append(Violation(
+                        "lifespan", t, nid,
+                        f"tau1={t} < 2 tau1(parent) - 2 = {2 * p_tau1 - 2}",
+                    ))
+            final[nid] = (s_conf[nid], inh[nid])
+    return out
+
+
+def assert_monitor_matches_reference(tr) -> None:
+    """Equal ordered violation lists at the default tolerance and at
+    negative ones, where most checks fire and every detail is compared."""
+    for tol in (1e-9, -0.01, -1.0, -5.0):
+        got = monitor(tr, tol)
+        assert got == monitor_reference(tr, tol)
+        # plain ints, so the run report's JSON can hold them
+        assert all(type(v.t) is int for v in got)
+        assert all(v.node_id is None or type(v.node_id) is int for v in got)
+
+
+@pytest.mark.parametrize("d,target", [(1, GOLD), (2, [GOLD, 1.0 - GOLD])])
+def test_monitor_matches_reference_on_cube_runs(d, target):
+    env = StochasticEnv(tent_mean(target=target), seed=0)
+    tr = algo.run(algo.init(d, 2048, algo.AlgoConfig(seed=0)), env)
+    assert tr.zoom_events()
+    assert_monitor_matches_reference(tr)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_monitor_matches_reference_on_dag_spaces(seed, tent_env):
+    # one uniform draw in each of 56 equal cells of [0, 1]
+    x = (np.arange(56) + np.random.default_rng(seed).random(56)) / 56
+    space = FiniteMetricSpace(x.tolist(), np.abs(x[:, None] - x))
+    tr = algo.run(algo.init(space, 1024, algo.AlgoConfig(seed=seed)),
+                  tent_env(seed=seed))
+    assert tr.space_kind == "dag" and tr.zoom_events()
+    assert_monitor_matches_reference(tr)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("start_height,n_flagged", [(1, 0), (2, 7), (3, 56)])
+def test_monitor_matches_reference_from_a_deeper_start(
+        seed, start_height, n_flagged, tent_env):
+    # the node-count bound (9t)^(d/(d+2)) assumes A_1 is the root, so a
+    # full level of 2^h nodes is flagged until 9t >= (2^h)^3
+    st = algo.init(1, 4096, algo.AlgoConfig(seed=seed,
+                                            start_height=start_height))
+    tr = algo.run(st, tent_env(seed=seed))
+    flagged = monitor(tr)
+    assert [v.check for v in flagged] == ["node_count"] * n_flagged
+    assert_monitor_matches_reference(tr)
+
+
+def test_monitor_matches_reference_on_anytime_phases(tent_env):
+    phases = algo.run_anytime(1, algo.AlgoConfig(seed=2), 3000,
+                              tent_env(seed=2))
+    assert len(phases) == 12 and phases[0].T == 1
+    for tr in phases:
+        assert_monitor_matches_reference(tr)
+
+
+def test_monitor_matches_reference_when_a_zoomed_node_stays_active():
+    """Node 0 zooms at t=1 and again at t=2 while staying active with its
+    child 1, which starts from 0's sums as frozen at t=1; child 2 first
+    appears after 0's second zoom-in and starts from the later sums.  At
+    t=6 the active set changes with no zoom-in before it."""
+    tr = Trace(algorithm="adversarial_zooming", T=8, d=1, n_dbl=2, seed=0)
+    tr.add_node(NodeMeta(0, None, 0, 4.0, 1, (0.5,), 0.0, tau1=2,
+                         n_children=2))
+    tr.add_node(NodeMeta(1, 0, 1, 0.05, 2, (0.25,), math.log(2), tau1=3,
+                         n_children=2))
+    tr.add_node(NodeMeta(2, 0, 1, 0.05, 3, (0.75,), math.log(2)))
+    rounds = [((0,), [1.0], (0,)), ((0, 1), [0.6, 0.4], (0,)),
+              ((0, 1), [0.5, 0.5], (1,)), ((0, 1, 2), [0.2, 0.3, 0.5], ()),
+              ((0, 1, 2), [0.3, 0.3, 0.4], ()), ((2, 0), [0.5, 0.5], ())]
+    for t, (ids, pi, zoomed) in enumerate(rounds, start=1):
+        tr.append(RoundRecord(t=t, node_id=ids[0], arm=(0.5,), reward=1.0,
+                              beta=0.25, beta_tilde=0.25, gamma=0.3, eta=0.25,
+                              n_active=len(ids), zoomed=zoomed,
+                              active_ids=ids, pi=np.array(pi)))
+    assert {v.check for v in monitor_reference(tr, -1.0)} >= {
+        "zoom_mass", "zooming_invariant", "inherited_diameter"}
+    assert_monitor_matches_reference(tr)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("pi", np.array([0.4, 0.3, 0.3])),  # three probabilities, two nodes
+    ("active_ids", (1, 1)),  # one node twice
+])
+def test_monitor_rejects_malformed_snapshots(field, value):
+    tr = _two_round_trace(pi2=0.4)
+    setattr(tr.rounds[1], field, value)
+    with pytest.raises(ValueError, match="round 2"):
+        monitor(tr)
