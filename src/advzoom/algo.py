@@ -117,7 +117,6 @@ class AlgoConfig:
     seed: int = 0
     repr_policy: str = "center"
     record_state: bool = True  # keep per-round pi / G_hat snapshots
-    debug_invariants: bool = False
     zoom_enabled: bool = True
     start_height: int = 0  # activate the full level at this height initially
     # overrides of the covering dimension and doubling constant; they feed
@@ -359,17 +358,6 @@ def zoom_in(state: AlgState, zoom_idx: Sequence[int]) -> list:
     return zoomed_ids
 
 
-def _debug_checks(state: AlgState, pi: np.ndarray, pv: ParamValues) -> None:
-    t, n = state.t, len(pi)
-    assert abs(pi.sum() - 1.0) <= 1e-12, f"round {t}: sum(pi) != 1"
-    assert pi.min() >= pv.gamma / n - 1e-12, f"round {t}: pi below floor"
-    conf_tot = 1.0 / pv.beta + state.s_conf
-    bad = conf_tot < (t - 1) * state.scale - 1e-9
-    assert not bad.any(), f"round {t}: zooming invariant violated"
-    max_h = 1.0 + math.log2(state.T) + 1e-9
-    assert all(nd.height <= max_h for nd in state.nodes), f"round {t}: height"
-
-
 def step(state: AlgState, env) -> RoundRecord:
     """Play one round: params, distribution, selection, reward, estimate,
     update, then the zoom pass over the nodes that were active this round
@@ -398,9 +386,6 @@ def step(state: AlgState, env) -> RoundRecord:
         zoom_idx = zoom_check(state, pi, pv)
         if zoom_idx.size:
             zoomed = zoom_in(state, zoom_idx)
-
-    if state.config.debug_invariants:
-        _debug_checks(state, pi, pv)
 
     rec = RoundRecord(
         t=t,

@@ -49,7 +49,7 @@ class ExperimentConfig:
     rounds: Optional[int] = None  # anytime mode (doubling trick)
     grid_eps: Optional[float] = None
     record_pi: bool = True
-    debug_invariants: bool = False
+    debug_invariants: bool = False  # exit 1 if the monitor finds a violation
     repr_policy: Optional[str] = None  # default: center; pricing: low_endpoint
     emit_curves: bool = False
     baseline: dict = field(default_factory=dict)  # exp3p: {"grid_eps": ...}
@@ -83,6 +83,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown baseline keys: {sorted(extra)}")
         if not cfg.seeds:
             raise ValueError("config.seeds must be non-empty")
+        if cfg.debug_invariants and not cfg.record_pi:
+            raise ValueError("debug_invariants needs record_pi: the monitor "
+                             "checks the recorded snapshots")
+        if cfg.debug_invariants and cfg.algorithm == "exp3p_uniform":
+            raise ValueError("debug_invariants needs adversarial_zooming: "
+                             "the fixed-arm baseline is not monitored")
         return cfg
 
     def to_dict(self) -> dict:
@@ -199,7 +205,6 @@ def run_one_seed(cfg: ExperimentConfig, seed: int):
         seed=seed,
         repr_policy=cfg.effective_repr_policy(),
         record_state=cfg.record_pi,
-        debug_invariants=cfg.debug_invariants,
     )
     space = _space_of(cfg)
     if cfg.rounds is not None:

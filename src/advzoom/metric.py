@@ -344,9 +344,6 @@ class DoublingReport:
     value: int
     exact: bool
 
-    def __int__(self) -> int:
-        return self.value
-
 
 _EXACT_LIMIT = 12  # exact minimum set cover only up to this many candidates
 

@@ -11,9 +11,9 @@ Streams are separated by hashing an ASCII tag (FNV-1a) into the key, so the
 selection stream, the reward-noise stream, and the pricing-value stream never
 collide even under equal seeds.
 
-`uniform` on two scalar integer counters runs splitmix64 on Python ints
-(`_mix`), which skips numpy's per-call array set-up on the learner's
-per-round draws.  It computes the same function as the array path, bit for
+`uniform` on a scalar key and two scalar integer counters runs splitmix64
+on Python ints (`_mix`), which skips numpy's per-call array set-up on the
+learner's per-round draws.  It computes the same function as the array path, bit for
 bit, and returns an np.float64.
 """
 
@@ -75,7 +75,8 @@ def counter_hash(key, a, b=0):
 
 def uniform(key, a, b=0):
     """Uniform float64 in [0, 1) keyed by (key, a, b), elementwise."""
-    if isinstance(a, _INTS) and isinstance(b, _INTS):
+    if (isinstance(key, _INTS) and isinstance(a, _INTS)
+            and isinstance(b, _INTS)):
         # counter_hash on Python ints; integers wrap modulo 2**64 as in uint64
         h = _mix(_mix(int(key) ^ _mix(int(a) & _M64)) ^ _mix(int(b) & _M64))
         return np.float64((h >> 11) * 2.0 ** -53)

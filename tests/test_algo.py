@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
-from advzoom import algo
+from advzoom import algo, evaluate
 from advzoom.algo import AlgoConfig, ParamValues
 from advzoom.env import MeanFunction, StochasticEnv, env_from_spec
 from advzoom.metric import FiniteMetricSpace
@@ -428,9 +428,10 @@ def test_newborn_children_never_zoom_immediately():
 
 
 def test_debug_invariants_clean():
+    # the monitor, which gates every debug run, flags nothing
     env = StochasticEnv(tent_mean(), seed=2)
-    st = algo.init(1, 256, AlgoConfig(seed=2, debug_invariants=True))
-    algo.run(st, env)  # would assert on any violation
+    tr = algo.run(algo.init(1, 256, AlgoConfig(seed=2)), env)
+    assert evaluate.monitor(tr) == []
 
 
 def test_active_set_never_shrinks_on_cubes():

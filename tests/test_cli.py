@@ -114,6 +114,29 @@ def test_run_emits_three_files_per_seed(tmp_path):
     assert inv["violations"] == []
 
 
+@pytest.mark.parametrize("debug,rc", [(True, 1), (False, 0)])
+def test_exit_status_is_one_iff_debug_and_the_monitor_flags(
+        tmp_path, monkeypatch, debug, rc):
+    flagged = [evaluate.Violation("pi_sum", 1, None, "sum=1.5")]
+    monkeypatch.setattr(evaluate, "monitor", lambda trace: flagged)
+    path = write_config(tmp_path, base_config(debug_invariants=debug))
+    assert cli.main(["run", path, "--out", str(tmp_path / "o")]) == rc
+
+
+@pytest.mark.parametrize("over,flags,reason", [
+    ({"record_pi": False}, [], "needs record_pi"),
+    ({}, ["--record-pi", "0"], "needs record_pi"),
+    ({"algorithm": "exp3p_uniform"}, [], "needs adversarial_zooming"),
+])
+def test_debug_config_without_a_monitor_is_rejected(
+        tmp_path, capsys, over, flags, reason):
+    path = write_config(tmp_path, base_config(debug_invariants=True, **over))
+    out = tmp_path / "o"
+    assert cli.main(["run", path, "--out", str(out), *flags]) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_bit_identical_reruns(tmp_path):
     path = write_config(tmp_path, base_config(T=64))
     cli.main(["run", path, "--out", str(tmp_path / "a")])

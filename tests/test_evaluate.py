@@ -666,6 +666,19 @@ def test_monitor_matches_reference_when_a_zoomed_node_stays_active():
     assert_monitor_matches_reference(tr)
 
 
+@pytest.mark.parametrize("height,flagged", [
+    (2, []), (3, [("height_activated", 2, 1, "h=3 > 1 + log2 T")])])
+def test_monitor_flags_a_node_activated_above_the_height_bound(
+        height, flagged):
+    # T=2: a node may sit at height 1 + log2 T = 2 at most, and one above
+    # it is flagged at its activation round tau0 = 2
+    tr = _root_then_child_trace(0.5)
+    tr.node_table[1].height = height
+    assert [(v.check, v.t, v.node_id, v.detail)
+            for v in monitor(tr)] == flagged
+    assert_monitor_matches_reference(tr)
+
+
 @pytest.mark.parametrize("field,value", [
     ("pi", np.array([0.4, 0.3, 0.3])),  # three probabilities, two nodes
     ("active_ids", (1, 1)),  # one node twice

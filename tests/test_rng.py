@@ -57,6 +57,17 @@ def test_scalar_uniform_equals_block_on_edge_counters():
                 assert_scalar_equals(key, a, b, want)
 
 
+def test_uniform_on_a_key_array_with_scalar_counters():
+    # scalar counters with an array of keys broadcast over the keys
+    keys = np.array([stream_key(s, "keys") for s in range(6)], dtype=np.uint64)
+    for b in (0, 7):
+        got = uniform(keys, 5, b)
+        want = [uniform(k, 5, b) for k in keys]
+        wide = uniform(keys, np.full(len(keys), 5), np.full(len(keys), b))
+        assert got.tobytes() == np.array(want).tobytes() == wide.tobytes()
+    assert uniform(keys, 5).tobytes() == uniform(keys, 5, 0).tobytes()
+
+
 def test_uniform_deterministic_and_order_free():
     key = stream_key(7, "test")
     one = [float(uniform(key, t)) for t in range(10)]
