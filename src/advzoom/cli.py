@@ -89,6 +89,11 @@ class ExperimentConfig:
         if cfg.debug_invariants and cfg.algorithm == "exp3p_uniform":
             raise ValueError("debug_invariants needs adversarial_zooming: "
                              "the fixed-arm baseline is not monitored")
+        # the grid first: a combined env's schedule is T entries long
+        evaluate.grid_eps_for(cfg.dim, cfg.horizon, cfg.grid_eps)
+        env_d = env_from_spec(cfg.env, cfg.horizon, cfg.seeds[0]).d
+        if env_d != cfg.dim:
+            raise ValueError(f"env d={env_d} differs from the space's {cfg.dim}")
         return cfg
 
     def to_dict(self) -> dict:
@@ -128,23 +133,6 @@ def _space_of(cfg: ExperimentConfig):
     if cfg.space["kind"] == "cube":
         return int(cfg.space["d"])
     return FiniteMetricSpace.from_file(cfg.space["path"])
-
-
-def _grid_eps_of(cfg: ExperimentConfig, T: int) -> float:
-    if cfg.grid_eps is not None:
-        return float(cfg.grid_eps)
-    d = cfg.dim
-    eps = evaluate.default_grid_eps(d)
-    # coarsen until the replay fits the evaluation guard
-    while (round(1.0 / eps) + 1) ** d * T > evaluate.MAX_EVALS:
-        if eps >= 1.0:
-            raise ValueError(
-                f"T={T} is too long to evaluate at d={d}: even the grid "
-                f"eps = 1 ({2 ** d} arms) needs more than "
-                f"evaluate.MAX_EVALS={evaluate.MAX_EVALS} reward evaluations"
-            )
-        eps *= 2.0
-    return eps
 
 
 # --------------------------------------------------------------------------
@@ -238,7 +226,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
     Returns a summary dict with per-seed regrets and total violations.
     """
-    grid_eps = _grid_eps_of(cfg, cfg.horizon)  # fail before any seed runs
+    grid_eps = evaluate.grid_eps_for(cfg.dim, cfg.horizon, cfg.grid_eps)
     os.makedirs(out_dir, exist_ok=True)
     regrets = []
     total_violations = 0
@@ -301,7 +289,8 @@ def sweep_horizons(cfg: ExperimentConfig, horizons: list, out_dir) -> dict:
     """Mean regret per horizon and the log-log slope with its stderr."""
     if len(horizons) < 3:
         raise ValueError("need at least 3 horizons for a slope fit")
-    grid_eps = [_grid_eps_of(cfg, int(T)) for T in horizons]
+    grid_eps = [evaluate.grid_eps_for(cfg.dim, int(T), cfg.grid_eps)
+                for T in horizons]
     os.makedirs(out_dir, exist_ok=True)
     per_T = []
     for T, eps in zip(horizons, grid_eps):
@@ -342,14 +331,12 @@ def audit_env(cfg: ExperimentConfig, out_dir) -> dict:
 def cover_fit(cfg: ExperimentConfig, out_dir,
               eps_ladder: Optional[list] = None) -> dict:
     """Dimension fit over the environment's near-optimal arm sets."""
+    T, d = cfg.horizon, cfg.dim
+    grid = evaluate.grid_points(d, evaluate.grid_eps_for(d, T, cfg.grid_eps))
     os.makedirs(out_dir, exist_ok=True)
-    T = cfg.horizon
     environment = env_from_spec(cfg.env, T, cfg.seeds[0])
-    d = cfg.dim
-    n_dbl = 2**d
-    grid = evaluate.grid_points(d, _grid_eps_of(cfg, T))
     ladder = eps_ladder or [2.0 ** -k for k in range(2, 8)]
-    masks = evaluate.eps_optimal_set(environment, grid, ladder, d, n_dbl, T)
+    masks = evaluate.eps_optimal_set(environment, grid, ladder, d, 2**d, T)
     counts = [evaluate.covering_count(grid[mask], eps)
               for eps, mask in zip(ladder, masks)]
     usable = [(e, c) for e, c in zip(ladder, counts) if c > 0]
@@ -432,6 +419,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         cfg = _apply_flag_overrides(cfg, args)
+        if args.verb == "sweep":
+            horizons = [int(v) for v in args.horizons.split(",")]
+            # the longest rung needs the most evaluations
+            evaluate.grid_eps_for(cfg.dim, max(horizons), cfg.grid_eps)
     except (ValueError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
@@ -444,7 +435,6 @@ def main(argv=None) -> int:
             return 1
         return 0
     if args.verb == "sweep":
-        horizons = [int(v) for v in args.horizons.split(",")]
         report = sweep_horizons(cfg, horizons, out)
         print(json.dumps(report, indent=1, sort_keys=True))
         return 0

@@ -400,8 +400,8 @@ class PricingEnv:
                  value_params: Optional[dict] = None, seed: int = 0):
         self.value_kind = value_kind
         self.value_params = dict(value_params or {})
-        if value_kind == "target":
-            _target_params(self.value_params)  # validate now
+        # one draw checks the kind and its parameters now
+        pricing_value_from_cdf(value_kind, self.value_params, 0.5)
         self.seed = seed
         self._key = stream_key(seed, "env.values")
 

@@ -41,8 +41,25 @@ def grid_points(d: int, eps: float) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
-def default_grid_eps(d: int) -> float:
-    return 1.0 / 1024 if d == 1 else 1.0 / 64
+def grid_eps_for(d: int, T: int, eps: Optional[float] = None) -> float:
+    """Evaluation grid spacing for T rounds on [0,1]^d: an explicit eps,
+    checked, or the default (1/1024 at d=1, 1/64 per axis above) doubled
+    until the grid's (round(1/eps)+1)^d arms x T rounds fit MAX_EVALS."""
+    e = (1.0 / 1024 if d == 1 else 1.0 / 64) if eps is None else eps
+    # round(1/e) is finite from 1/MAX_EVALS on; e < 2 keeps 2 points an axis
+    while not (1.0 / MAX_EVALS <= e < 2.0
+               and (round(1.0 / e) + 1) ** d * T <= MAX_EVALS):
+        if eps is not None:
+            raise ValueError(f"grid_eps={eps!r} at d={d}, T={T}: need 0 < "
+                             f"grid_eps < 2 and at most evaluate.MAX_EVALS="
+                             f"{MAX_EVALS} reward evaluations")
+        if e >= 1.0:
+            raise ValueError(
+                f"T={T} is too long to evaluate at d={d}: even the grid "
+                f"eps = 1 ({2 ** d} arms) needs more than "
+                f"evaluate.MAX_EVALS={MAX_EVALS} reward evaluations")
+        e *= 2.0
+    return float(e)
 
 
 def _replay(env, grid: np.ndarray, T: int, checkpoints=None):
@@ -110,27 +127,23 @@ class RegretReport:
 
 
 def regret(trace: Trace, env, grid_eps: Optional[float] = None,
-           grid: Optional[np.ndarray] = None,
-           max_evals: int = MAX_EVALS) -> RegretReport:
+           grid: Optional[np.ndarray] = None) -> RegretReport:
     """Best-fixed-grid-arm cumulative reward minus the realized one.
 
     The environment is replayed exactly (oblivious rewards), so the only
     approximation is the grid itself; the T * grid_eps Lipschitz slack is
-    attached to the report.
+    attached to the report; grid_eps_for spaces the grid unless one is given.
     """
     T = trace.n_rounds
-    d = env.d
     if grid is None:
-        grid_eps = grid_eps if grid_eps is not None else default_grid_eps(d)
-        grid = grid_points(d, grid_eps)
+        grid_eps = grid_eps_for(env.d, T, grid_eps)
+        grid = grid_points(env.d, grid_eps)
     else:
         grid = np.atleast_2d(np.asarray(grid, dtype=np.float64))
         grid_eps = grid_eps if grid_eps is not None else 0.0
-    if len(grid) * T > max_evals:
-        raise ValueError(
-            f"grid too large: {len(grid)} arms x {T} rounds "
-            f"> {max_evals} evaluations"
-        )
+        if len(grid) * T > MAX_EVALS:
+            raise ValueError(f"grid too large: {len(grid)} arms x {T} "
+                             f"rounds > {MAX_EVALS} evaluations")
     cum_best, totals = _replay(env, grid, T)
     cum_alg = np.cumsum(trace.rewards())
     curve = cum_best - cum_alg

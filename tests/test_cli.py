@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,9 @@ import advzoom
 from advzoom import cli, evaluate
 from advzoom.cli import ExperimentConfig, load_config
 from advzoom.env import env_from_spec
+
+
+TENT_D2 = {"kind": "distance_to_target", "target": [0.3, 0.6]}
 
 
 def base_config(**over):
@@ -72,7 +76,7 @@ def test_config_hash_changes_iff_fields_change():
     assert a.hash() == b.hash()
     for over in ({"T": 32}, {"seeds": [1]},
                  {"env": {"kind": "concave"}},
-                 {"space": {"kind": "cube", "d": 2}},
+                 {"space": {"kind": "cube", "d": 2}, "env": TENT_D2},
                  {"record_pi": False}):
         c = ExperimentConfig.from_dict(base_config(**over))
         assert c.hash() != a.hash(), over
@@ -263,10 +267,14 @@ def test_sweep_report(tmp_path):
                                   (1, 2 * 10**7)])
 def test_horizon_beyond_eval_guard_fails_fast(tmp_path, d, T):
     # even the eps = 1 grid has 2^d arms and 2^d * T > MAX_EVALS; the check
-    # runs before any seed, and before the short first rung of a sweep
-    cfg = ExperimentConfig.from_dict(base_config(
-        T=T, space={"kind": "cube", "d": d}))
+    # runs at load, before any seed, and before the short first rung of a
+    # sweep
+    raw = base_config(T=T, space={"kind": "cube", "d": d},
+                      env=TENT_D2 if d == 2 else {"kind": "distance_to_target"})
     msg = f"T={T} .* d={d}: .*MAX_EVALS={evaluate.MAX_EVALS}"
+    with pytest.raises(ValueError, match=msg):
+        ExperimentConfig.from_dict(raw)
+    cfg = replace(ExperimentConfig.from_dict(dict(raw, T=64)), T=T)
     with pytest.raises(ValueError, match=msg):
         cli.run_experiment(cfg, str(tmp_path / "run"))
     with pytest.raises(ValueError, match=msg):
@@ -274,7 +282,66 @@ def test_horizon_beyond_eval_guard_fails_fast(tmp_path, d, T):
     assert not os.listdir(tmp_path)
     # the longest horizon that fits keeps the eps = 1 grid
     fits = evaluate.MAX_EVALS // 2**d
-    assert cli._grid_eps_of(cfg, fits) == 1.0
+    assert evaluate.grid_eps_for(d, fits) == 1.0
+
+
+@pytest.mark.parametrize("d, T, grid_eps", [
+    (1, 4096, 1e-4), (1, 4096, 0), (1, 4096, -0.1), (2, 4096, 1 / 256),
+])
+def test_bad_grid_eps_fails_before_any_replay_or_file(
+        tmp_path, monkeypatch, d, T, grid_eps):
+    def never(*args):
+        raise AssertionError("ran past the grid check")
+
+    monkeypatch.setattr(cli, "run_one_seed", never)
+    monkeypatch.setattr(evaluate, "_replay", never)
+    raw = base_config(T=T, space={"kind": "cube", "d": d},
+                      env=TENT_D2 if d == 2 else {"kind": "distance_to_target"})
+    msg = f"grid_eps={grid_eps!r} at d={d}"
+    with pytest.raises(ValueError, match=msg):
+        ExperimentConfig.from_dict(dict(raw, grid_eps=grid_eps))
+    cfg = replace(ExperimentConfig.from_dict(raw), grid_eps=grid_eps)
+    with pytest.raises(ValueError, match=msg):
+        cli.run_experiment(cfg, str(tmp_path / "run"))
+    with pytest.raises(ValueError, match=msg):
+        cli.sweep_horizons(cfg, [T // 4, T // 2, T], str(tmp_path / "sweep"))
+    with pytest.raises(ValueError, match=msg):
+        cli.cover_fit(cfg, str(tmp_path / "cover"))
+    assert not os.listdir(tmp_path)
+
+
+PRICING_A_GT_B = {"kind": "pricing", "values": {"kind": "uniform", "a": 0.9,
+                                                "b": 0.2}}
+
+
+@pytest.mark.parametrize("verb, over, flags, reason", [
+    ("run", {"env": {"kind": "concave", "noise": "bernouli"}}, [],
+     "unknown noise"),
+    ("run", {"T": 6 * 10**6}, [], "too long to evaluate"),
+    ("run", {"T": 4096, "grid_eps": 1e-4}, [], "grid_eps=0.0001"),
+    ("run", {"grid_eps": 0}, [], "grid_eps=0 "),
+    ("run", {"grid_eps": -0.1}, [], "grid_eps=-0.1"),
+    ("run", {}, ["--grid-eps", "0"], "grid_eps=0.0"),
+    ("run", {"env": PRICING_A_GT_B}, [], "non-monotone"),
+    ("run", {"env": {"kind": "pricing", "values": {"kind": "beta"}}}, [],
+     "unknown value distribution"),
+    ("run", {"space": {"kind": "cube", "d": 2}}, [], "env d=1"),
+    ("audit", {"env": PRICING_A_GT_B}, [], "non-monotone"),
+    ("cover", {"space": {"kind": "cube", "d": 2}, "env": TENT_D2, "T": 4096,
+               "grid_eps": 1 / 256}, [], "grid_eps=0.00390625"),
+    ("sweep", {}, ["--horizons", "64,128,6000000"], "T=6000000 is too long"),
+    ("sweep", {"grid_eps": 1e-4}, ["--horizons", "64,128,1024"],
+     "T=1024"),
+    ("sweep", {}, ["--horizons", "64,x,256"], "invalid literal"),
+])
+def test_bad_config_exits_2_with_nothing_written(
+        tmp_path, capsys, verb, over, flags, reason):
+    path = write_config(tmp_path, base_config(**over))
+    out = tmp_path / "o"
+    assert cli.main([verb, path, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and reason in err
+    assert not out.exists()
 
 
 def test_audit_verb(tmp_path):
@@ -306,7 +373,7 @@ def cover_json_per_eps(cfg, ladder) -> str:
     """cover.json as one gaps_at replay per eps of the ladder would write it."""
     T, d = cfg.horizon, cfg.dim
     environment = env_from_spec(cfg.env, T, cfg.seeds[0])
-    grid = evaluate.grid_points(d, cli._grid_eps_of(cfg, T))
+    grid = evaluate.grid_points(d, evaluate.grid_eps_for(d, T, cfg.grid_eps))
     counts = []
     for eps in ladder:
         ts = evaluate.eps_ladder_times(eps, T)

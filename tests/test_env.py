@@ -249,6 +249,19 @@ def test_pricing_value_from_cdf_uniform():
         pricing_value_from_cdf("beta", {}, 0.5)
 
 
+@pytest.mark.parametrize("kind, params, reason", [
+    ("uniform", {"a": 0.9, "b": 0.2}, "non-monotone"),
+    ("target", {"a": 0.6, "b": 0.5}, "non-monotone"),
+    ("beta", {}, "unknown value distribution"),
+])
+def test_pricing_env_checks_its_values_at_construction(kind, params, reason):
+    with pytest.raises(ValueError, match=reason):
+        PricingEnv(kind, params)
+    with pytest.raises(ValueError, match=reason):
+        env_from_spec({"kind": "pricing", "values": dict(params, kind=kind)},
+                      T=16, seed=0)
+
+
 def test_pricing_target_family_mean_revenue():
     params = {"a": 0.25, "b": 0.5, "support": (0.3, 0.7)}
     # Monte Carlo of x * 1{x <= v} against the peak value

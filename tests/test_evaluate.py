@@ -88,7 +88,62 @@ def test_regret_guard_on_grid_size():
     env = det_env(([0, 1], [0.5, 0.5]))
     tr = synthetic_trace([0.5] * 100)
     with pytest.raises(ValueError, match="grid too large"):
-        regret(tr, env, grid_eps=1 / 1024, max_evals=10_000)
+        regret(tr, env, grid=np.zeros((evaluate.MAX_EVALS // 100 + 1, 1)))
+    with pytest.raises(ValueError, match="grid_eps=1e-05 at d=1, T=100"):
+        regret(tr, env, grid_eps=1e-5)
+
+
+def old_cli_grid_eps(d, T):
+    """The CLI's coarsening loop before grid_eps_for owned it (reference)."""
+    eps = 1.0 / 1024 if d == 1 else 1.0 / 64
+    while (round(1.0 / eps) + 1) ** d * T > evaluate.MAX_EVALS:
+        if eps >= 1.0:
+            raise ValueError("too long")
+        eps *= 2.0
+    return eps
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_grid_eps_for_coarsens_like_the_old_cli_loop(d):
+    # T at and around every step: the last T each spacing fits
+    eps, steps = (1.0 / 1024 if d == 1 else 1.0 / 64), []
+    while eps <= 1.0:
+        steps.append(evaluate.MAX_EVALS // (round(1 / eps) + 1) ** d)
+        eps *= 2.0
+    Ts = [1, 64] + [T + k for T in steps for k in (-1, 0, 1)]
+    for T in Ts:
+        if T > steps[-1]:
+            with pytest.raises(ValueError, match=f"T={T} is too long"):
+                evaluate.grid_eps_for(d, T)
+            with pytest.raises(ValueError):
+                old_cli_grid_eps(d, T)
+        else:
+            assert evaluate.grid_eps_for(d, T) == old_cli_grid_eps(d, T), T
+
+
+@pytest.mark.parametrize("eps", [1 / 16, 0.3, 1.0, 1.5])
+def test_grid_eps_for_returns_an_explicit_eps_that_fits(eps):
+    assert evaluate.grid_eps_for(2, 4096, eps) == eps
+
+
+@pytest.mark.parametrize("d, T, eps", [
+    (1, 4096, 1e-4), (2, 4096, 1 / 256), (1, 16, 0.0), (1, 16, -0.1),
+    (1, 16, 2.0), (1, 16, math.inf), (1, 16, math.nan), (1, 16, 5e-324),
+])
+def test_grid_eps_for_rejects_an_explicit_eps_that_does_not_fit(d, T, eps):
+    with pytest.raises(ValueError, match=f"grid_eps={eps!r} at d={d}, T={T}"):
+        evaluate.grid_eps_for(d, T, eps)
+
+
+def test_regret_default_grid_is_coarsened_to_fit(tent_env):
+    # 1025 arms x 16384 rounds exceeds MAX_EVALS; 1/512 is the first fit
+    env = tent_env(seed=5)
+    T = 16384
+    tr = synthetic_trace([env.reward(t, (0.5,)) for t in range(1, T + 1)])
+    got, want = regret(tr, env), regret(tr, env, grid_eps=1 / 512)
+    assert got.to_dict() == want.to_dict()
+    assert got.grid_eps == 1 / 512 and got.n_grid == 513
+    assert np.array_equal(got.regret_curve, want.regret_curve)
 
 
 def test_regret_cross_checked_on_finer_grid(tent_env):
