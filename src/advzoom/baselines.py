@@ -19,11 +19,15 @@ from . import algo
 from .trace import RoundRecord, Trace
 
 
+def checked_grid_eps(eps) -> float:
+    if not (0.0 < float(eps) <= 1.0):
+        raise ValueError(f"grid eps must be in (0, 1], got {eps!r}")
+    return float(eps)
+
+
 def uniform_grid(d: int, eps: float) -> np.ndarray:
     """Cell centers of the uniform eps-grid on [0,1]^d: K = ceil(1/eps)^d arms."""
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
-    m = math.ceil(1.0 / eps)
+    m = math.ceil(1.0 / checked_grid_eps(eps))
     axis = (np.arange(m) + 0.5) / m
     if d == 1:
         return axis.reshape(-1, 1)

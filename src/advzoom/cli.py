@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, algo, baselines, evaluate
 from .env import env_from_spec, lipschitz_audit
-from .metric import FiniteMetricSpace
+from .metric import REPR_POLICIES, FiniteMetricSpace
 from .trace import Trace, write_curves_csv
 
 ALGORITHMS = ("adversarial_zooming", "exp3p_uniform")
@@ -76,20 +76,28 @@ class ExperimentConfig:
         elif space_kind == "finite":
             if set(cfg.space) != {"kind", "path"}:
                 raise ValueError(f"bad space spec: {cfg.space}")
+            FiniteMetricSpace.from_file(cfg.space["path"])
         else:
             raise ValueError(f"space.kind must be cube or finite: {cfg.space}")
         extra = set(cfg.baseline) - {"grid_eps"}
         if extra:
             raise ValueError(f"unknown baseline keys: {sorted(extra)}")
+        if cfg.baseline.get("grid_eps") is not None:
+            baselines.checked_grid_eps(cfg.baseline["grid_eps"])
         if not cfg.seeds:
             raise ValueError("config.seeds must be non-empty")
+        if cfg.repr_policy not in (None, *REPR_POLICIES):
+            raise ValueError(f"config.repr_policy must be one of "
+                             f"{REPR_POLICIES}, got {cfg.repr_policy!r}")
         if cfg.debug_invariants and not cfg.record_pi:
             raise ValueError("debug_invariants needs record_pi: the monitor "
                              "checks the recorded snapshots")
-        if cfg.debug_invariants and cfg.algorithm == "exp3p_uniform":
-            raise ValueError("debug_invariants needs adversarial_zooming: "
-                             "the fixed-arm baseline is not monitored")
-        # the grid first: a combined env's schedule is T entries long
+        if cfg.algorithm == "exp3p_uniform" and (
+                cfg.debug_invariants or cfg.rounds or space_kind == "finite"):
+            raise ValueError("debug_invariants, rounds and a finite space "
+                             "each needs adversarial_zooming: exp3p_uniform "
+                             "is unmonitored, has no restarts, plays a grid")
+        # the grid and horizon first: a combined env's schedule is T long
         evaluate.grid_eps_for(cfg.dim, cfg.horizon, cfg.grid_eps)
         env_d = env_from_spec(cfg.env, cfg.horizon, cfg.seeds[0]).d
         if env_d != cfg.dim:
@@ -120,13 +128,20 @@ class ExperimentConfig:
         return "low_endpoint" if self.env.get("kind") == "pricing" else "center"
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides=None) -> ExperimentConfig:
     with open(path) as f:
         try:
             raw = json.load(f)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
-    return ExperimentConfig.from_dict(raw)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: the config must be a JSON object")
+    return ExperimentConfig.from_dict({**raw, **(overrides or {})})
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=1, sort_keys=True)
 
 
 def _space_of(cfg: ExperimentConfig):
@@ -182,10 +197,10 @@ def run_one_seed(cfg: ExperimentConfig, seed: int):
     """Run a single seed; returns (trace, env, phase_traces_for_monitor)."""
     environment = env_from_spec(cfg.env, cfg.horizon, seed)
     if cfg.algorithm == "exp3p_uniform":
-        eps = cfg.baseline.get("grid_eps") or baselines.default_grid_eps(
-            cfg.horizon, cfg.dim
-        )
-        arms = baselines.uniform_grid(cfg.dim, float(eps))
+        eps = cfg.baseline.get("grid_eps")
+        if eps is None:
+            eps = baselines.default_grid_eps(cfg.horizon, cfg.dim)
+        arms = baselines.uniform_grid(cfg.dim, eps)
         trace = baselines.exp3p_run(arms, cfg.horizon, environment, seed=seed,
                                     record_state=cfg.record_pi)
         return trace, environment, [trace]
@@ -209,16 +224,8 @@ def _monitor_report(cfg: ExperimentConfig, monitor_traces: list) -> dict:
     if cfg.algorithm == "exp3p_uniform":
         return {"skipped": "fixed-arm baseline has no zooming invariants",
                 "violations": []}
-    viol = []
-    for tr in monitor_traces:
-        viol.extend(evaluate.monitor(tr))
-    return {
-        "violations": [
-            {"check": v.check, "t": v.t, "node_id": v.node_id,
-             "detail": v.detail}
-            for v in viol
-        ]
-    }
+    return {"violations": [asdict(v) for tr in monitor_traces
+                           for v in evaluate.monitor(tr)]}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
@@ -238,12 +245,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         trace.write_csv(trace_path)
         rep = evaluate.regret(trace, environment, grid_eps=grid_eps)
         reg_path = os.path.join(out_dir, f"regret_seed{seed}.json")
-        with open(reg_path, "w") as f:
-            json.dump(rep.to_dict(), f, indent=1, sort_keys=True)
+        _write_json(reg_path, rep.to_dict())
         inv = _monitor_report(cfg, monitor_traces)
         inv_path = os.path.join(out_dir, f"invariants_seed{seed}.json")
-        with open(inv_path, "w") as f:
-            json.dump(inv, f, indent=1, sort_keys=True)
+        _write_json(inv_path, inv)
         artifacts += [trace_path, reg_path, inv_path]
         if cfg.emit_curves:
             curve_path = os.path.join(out_dir, f"curves_seed{seed}.csv")
@@ -266,8 +271,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         "version": __version__,
         "artifacts": [os.path.basename(p) for p in artifacts],
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     summary = {
         "regrets": regrets,
         "mean_regret": float(np.mean(regrets)),
@@ -275,8 +279,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         "violations": total_violations,
     }
     if len(cfg.seeds) > 1:
-        with open(os.path.join(out_dir, "aggregate.json"), "w") as f:
-            json.dump(summary, f, indent=1, sort_keys=True)
+        _write_json(os.path.join(out_dir, "aggregate.json"), summary)
     return summary
 
 
@@ -312,8 +315,7 @@ def sweep_horizons(cfg: ExperimentConfig, horizons: list, out_dir) -> dict:
         "slope_stderr": se,
         "config_hash": cfg.hash(),
     }
-    with open(os.path.join(out_dir, "sweep.json"), "w") as f:
-        json.dump(report, f, indent=1, sort_keys=True)
+    _write_json(os.path.join(out_dir, "sweep.json"), report)
     return report
 
 
@@ -323,19 +325,24 @@ def audit_env(cfg: ExperimentConfig, out_dir) -> dict:
     rep = lipschitz_audit(environment, T=cfg.horizon, seed=cfg.seeds[0])
     out = {"mode": rep.mode, "n_pairs": rep.n_pairs, "n_rounds": rep.n_rounds,
            "flagged": rep.flagged, "ok": rep.ok}
-    with open(os.path.join(out_dir, "audit.json"), "w") as f:
-        json.dump(out, f, indent=1, sort_keys=True)
+    _write_json(os.path.join(out_dir, "audit.json"), out)
     return out
+
+
+def _checked_ladder(ladder: list) -> list:
+    if not all(0.0 < eps < np.inf for eps in ladder):
+        raise ValueError(f"every cover eps must be finite and > 0: {ladder}")
+    return ladder
 
 
 def cover_fit(cfg: ExperimentConfig, out_dir,
               eps_ladder: Optional[list] = None) -> dict:
     """Dimension fit over the environment's near-optimal arm sets."""
     T, d = cfg.horizon, cfg.dim
+    ladder = _checked_ladder(eps_ladder or [2.0 ** -k for k in range(2, 8)])
     grid = evaluate.grid_points(d, evaluate.grid_eps_for(d, T, cfg.grid_eps))
     os.makedirs(out_dir, exist_ok=True)
     environment = env_from_spec(cfg.env, T, cfg.seeds[0])
-    ladder = eps_ladder or [2.0 ** -k for k in range(2, 8)]
     masks = evaluate.eps_optimal_set(environment, grid, ladder, d, 2**d, T)
     counts = [evaluate.covering_count(grid[mask], eps)
               for eps, mask in zip(ladder, masks)]
@@ -345,8 +352,7 @@ def cover_fit(cfg: ExperimentConfig, out_dir,
         fit = evaluate.dimension_fit([e for e, _ in usable],
                                      [c for _, c in usable])
         report.update(fit.to_dict())
-    with open(os.path.join(out_dir, "cover.json"), "w") as f:
-        json.dump(report, f, indent=1, sort_keys=True)
+    _write_json(os.path.join(out_dir, "cover.json"), report)
     return report
 
 
@@ -363,36 +369,22 @@ def _out_dir(args, cfg_path) -> str:
     return os.path.join(root, stem)
 
 
+def _flag_bool(v: str) -> bool:
+    return v.lower() in ("1", "true", "yes")
+
+
 _FLAG_KEYS = {
-    # CLI flags mirroring top-level config keys (overrides after load)
+    # CLI flags mirroring top-level config keys (laid over the raw file)
     "algorithm": str,
     "T": int,
     "rounds": int,
     "seeds": lambda v: [int(s) for s in v.split(",")],
     "grid_eps": float,
-    "record_pi": lambda v: v.lower() in ("1", "true", "yes"),
-    "debug_invariants": lambda v: v.lower() in ("1", "true", "yes"),
+    "record_pi": _flag_bool,
+    "debug_invariants": _flag_bool,
     "repr_policy": str,
-    "emit_curves": lambda v: v.lower() in ("1", "true", "yes"),
+    "emit_curves": _flag_bool,
 }
-
-
-def _apply_flag_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    raw = cfg.to_dict()
-    changed = False
-    for key, parse in _FLAG_KEYS.items():
-        val = getattr(args, key, None)
-        if val is not None:
-            raw[key] = parse(val)
-            changed = True
-    if not changed:
-        return cfg
-    # a horizon flag switches the mode: --rounds drops T and vice versa
-    if getattr(args, "rounds", None) is not None:
-        raw["T"] = None
-    elif getattr(args, "T", None) is not None:
-        raw["rounds"] = None
-    return ExperimentConfig.from_dict(raw)
 
 
 def main(argv=None) -> int:
@@ -417,37 +409,36 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_flag_overrides(cfg, args)
+        overrides = {key: parse(getattr(args, key)) for key, parse in
+                     _FLAG_KEYS.items() if getattr(args, key) is not None}
+        # a horizon flag switches the mode: --rounds drops T and vice versa
+        if args.rounds is not None:
+            overrides["T"] = None
+        elif args.T is not None:
+            overrides["rounds"] = None
+        cfg = load_config(args.config, overrides)
         if args.verb == "sweep":
             horizons = [int(v) for v in args.horizons.split(",")]
-            # the longest rung needs the most evaluations
-            evaluate.grid_eps_for(cfg.dim, max(horizons), cfg.grid_eps)
+            for T in horizons:
+                evaluate.grid_eps_for(cfg.dim, T, cfg.grid_eps)
+        if args.verb == "cover" and args.eps:
+            args.eps = _checked_ladder([float(v) for v in args.eps.split(",")])
     except (ValueError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     out = _out_dir(args, args.config)
 
     if args.verb == "run":
-        summary = run_experiment(cfg, out)
-        print(json.dumps(summary, indent=1, sort_keys=True))
-        if cfg.debug_invariants and summary["violations"] > 0:
-            return 1
-        return 0
-    if args.verb == "sweep":
+        report = run_experiment(cfg, out)
+    elif args.verb == "sweep":
         report = sweep_horizons(cfg, horizons, out)
-        print(json.dumps(report, indent=1, sort_keys=True))
-        return 0
-    if args.verb == "audit":
+    elif args.verb == "audit":
         report = audit_env(cfg, out)
-        print(json.dumps(report, indent=1, sort_keys=True))
-        return 0
-    report = cover_fit(
-        cfg, out,
-        eps_ladder=[float(v) for v in args.eps.split(",")] if args.eps else None,
-    )
+    else:
+        report = cover_fit(cfg, out, args.eps)
     print(json.dumps(report, indent=1, sort_keys=True))
-    return 0
+    return int(args.verb == "run" and cfg.debug_invariants
+               and report["violations"] > 0)
 
 
 if __name__ == "__main__":

@@ -276,18 +276,18 @@ def make_combined(instances: list, schedule, subsets: list, baselines: list,
                   probe: int = 2048) -> CombinedEnv:
     """Validated combined instance.
 
-    instances may be StochasticEnv or bare MeanFunction objects.  Rejects,
-    naming the failing assumption: overlapping subsets, spread below 1/3,
-    off-subset means not exactly the baseline, means above baseline outside
-    all subsets, or a schedule that does not cover [T].
+    instances may be StochasticEnv or bare MeanFunction objects; schedule is
+    a list of (instance, length) phases or an array of per-round instances.
+    Rejects, naming the failing assumption: overlapping subsets, spread
+    below 1/3, off-subset means not exactly the baseline, means above
+    baseline outside all subsets, or a schedule that does not cover [T].
     """
     means = [inst.mean if isinstance(inst, StochasticEnv) else inst
              for inst in instances]
     M = len(means)
     if not (len(subsets) == len(baselines) == M):
         raise ValueError("need one subset and one baseline per instance")
-    if isinstance(schedule, (list, tuple)) and schedule and \
-            isinstance(schedule[0], (list, tuple)):
+    if isinstance(schedule, (list, tuple)):
         schedule = phase_schedule(schedule, T)
     schedule = np.asarray(schedule, dtype=np.int64)
     if T is not None and len(schedule) != T:
@@ -559,18 +559,18 @@ def env_from_spec(spec: dict, T: int, seed: int):
                      "noise", "noise_scale"}, "env")
         means = [_mean_from_spec(s, f"env.instances[{i}]")
                  for i, s in enumerate(spec["instances"])]
-        sched = spec.get("schedule", {"phases": None})
-        if "phases" in sched and sched["phases"] is not None:
-            schedule = phase_schedule(sched["phases"], T)
-        elif "per_round" in sched:
+        sched = spec.get("schedule") or {}
+        _take(sched, {"phases", "per_round"}, "env.schedule")
+        if len(sched) > 1:
+            raise ValueError("env.schedule takes phases or per_round, not both")
+        schedule = sched.get("phases")
+        if "per_round" in sched:  # an array, so it is never read as phases
             schedule = np.asarray(sched["per_round"], dtype=np.int64)
-        else:
+        elif schedule is None:
             # default: equal consecutive phases
             M = len(means)
             bounds = np.linspace(0, T, M + 1).astype(int)
-            schedule = phase_schedule(
-                [(i, bounds[i + 1] - bounds[i]) for i in range(M)], T
-            )
+            schedule = [(i, bounds[i + 1] - bounds[i]) for i in range(M)]
         return make_combined(means, schedule, spec["subsets"],
                              spec["baselines"], T=T, noise=noise,
                              noise_scale=noise_scale, seed=seed)

@@ -45,6 +45,8 @@ def grid_eps_for(d: int, T: int, eps: Optional[float] = None) -> float:
     """Evaluation grid spacing for T rounds on [0,1]^d: an explicit eps,
     checked, or the default (1/1024 at d=1, 1/64 per axis above) doubled
     until the grid's (round(1/eps)+1)^d arms x T rounds fit MAX_EVALS."""
+    if not isinstance(T, (int, np.integer)) or T < 1:
+        raise ValueError(f"the horizon must be an int >= 1, got {T!r}")
     e = (1.0 / 1024 if d == 1 else 1.0 / 64) if eps is None else eps
     # round(1/e) is finite from 1/MAX_EVALS on; e < 2 keeps 2 points an axis
     while not (1.0 / MAX_EVALS <= e < 2.0

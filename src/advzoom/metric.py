@@ -32,6 +32,8 @@ from .rng import fnv1a64, uniform
 # A cube node id is (height, cell), where cell[j] in [0, 2**height) indexes
 # the dyadic cell along axis j.  Ids are stable across runs and hashable.
 CubeId = tuple
+# the arm a cube node plays: see representative
+REPR_POLICIES = ("center", "low_endpoint", "seeded_uniform")
 
 
 @dataclass(frozen=True)
@@ -116,20 +118,20 @@ def representative(u, policy: str = "center", seed: int = 0) -> tuple:
     For cube nodes: the cube center, the low corner (the natural choice for
     posted prices, where only downward deviations are safe), or a uniform
     draw keyed by (seed, node id) so it never depends on observations.
-    DAG nodes always use their ball center.
+    DAG nodes always use their ball center.  policy is one of REPR_POLICIES.
     """
+    if policy not in REPR_POLICIES:
+        raise ValueError(f"unknown representative policy {policy!r}")
     if isinstance(u, DagNode):
         return u.arm
     if policy == "center":
         return u.center
     if policy == "low_endpoint":
         return u.low_corner()
-    if policy == "seeded_uniform":
-        key = fnv1a64(f"repr:{seed}:{u.node_id}")
-        us = uniform(key, np.arange(u.dim))
-        lo = u.low_corner()
-        return tuple(lo[j] + 2.0 * u.half_width * us[j] for j in range(u.dim))
-    raise ValueError(f"unknown representative policy {policy!r}")
+    key = fnv1a64(f"repr:{seed}:{u.node_id}")
+    us = uniform(key, np.arange(u.dim))
+    lo = u.low_corner()
+    return tuple(lo[j] + 2.0 * u.half_width * us[j] for j in range(u.dim))
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -310,6 +311,13 @@ def test_bad_grid_eps_fails_before_any_replay_or_file(
     assert not os.listdir(tmp_path)
 
 
+BUMP = {"kind": "baseline_bump", "peak": 0.55, "baseline": 0.2}
+COMBINED = {"kind": "combined",
+            "instances": [dict(BUMP, support=[0.1, 0.4]),
+                          dict(BUMP, support=[0.6, 0.9])],
+            "subsets": [[0.1, 0.4], [0.6, 0.9]], "baselines": [0.2, 0.2]}
+EXP3P = {"algorithm": "exp3p_uniform"}
+FINITE_3 = {"kind": "finite", "path": "space3.txt"}
 PRICING_A_GT_B = {"kind": "pricing", "values": {"kind": "uniform", "a": 0.9,
                                                 "b": 0.2}}
 
@@ -333,15 +341,130 @@ PRICING_A_GT_B = {"kind": "pricing", "values": {"kind": "uniform", "a": 0.9,
     ("sweep", {"grid_eps": 1e-4}, ["--horizons", "64,128,1024"],
      "T=1024"),
     ("sweep", {}, ["--horizons", "64,x,256"], "invalid literal"),
+    ("run", {"T": 0}, [], "horizon must be an int >= 1, got 0"),
+    ("run", {"T": None, "rounds": 0}, [], "horizon must be an int >= 1"),
+    ("run", {"T": "64"}, [], "got '64'"),
+    ("sweep", {}, ["--horizons", "0,64,128"], "int >= 1, got 0"),
+    ("run", {"space": {"kind": "finite", "path": "missing.txt"}}, [],
+     "No such file"),
+    ("run", {"space": {"kind": "finite", "path": "bad.txt"}}, [],
+     "expected 9 distances"),
+    ("run", {"repr_policy": "middle"}, [], "repr_policy must be one of"),
+    ("run", {}, ["--repr-policy", "middle"], "got 'middle'"),
+    ("run", dict(EXP3P, baseline={"grid_eps": 0}), [],
+     "grid eps must be in (0, 1], got 0"),
+    ("run", dict(EXP3P, T=None, rounds=64), [],
+     "rounds and a finite space each needs adversarial_zooming"),
+    ("run", dict(EXP3P, space=FINITE_3), [],
+     "rounds and a finite space each needs adversarial_zooming"),
+    ("cover", {}, ["--eps", "a"], "could not convert"),
+    ("cover", {}, ["--eps", "0"], "finite and > 0: [0.0]"),
+    ("cover", {}, ["--eps", "-0.5"], "finite and > 0: [-0.5]"),
+    ("cover", {}, ["--eps", "0.5,nan"], "finite and > 0: [0.5, nan]"),
+    ("run", {"env": dict(COMBINED, schedule={"phasez": [[0, 8], [1, 8]]})},
+     [], "unknown keys ['phasez'] in env.schedule"),
+    ("run", {"env": dict(COMBINED, schedule={"phases": [[0, 16]],
+                                             "per_round": [0] * 16})},
+     [], "phases or per_round, not both"),
+    ("run", None, [], "the config must be a JSON object"),
 ])
 def test_bad_config_exits_2_with_nothing_written(
-        tmp_path, capsys, verb, over, flags, reason):
-    path = write_config(tmp_path, base_config(**over))
+        tmp_path, monkeypatch, capsys, verb, over, flags, reason):
+    # finite-space paths are relative to the run's working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "space3.txt").write_text("3\n0 1 1\n1 0 1\n1 1 0\n")
+    (tmp_path / "bad.txt").write_text("3\n0 1 1\n1 0 1\n")
+    raw = [base_config()] if over is None else base_config(**over)
+    path = write_config(tmp_path, raw)
     out = tmp_path / "o"
     assert cli.main([verb, path, "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and reason in err
     assert not out.exists()
+
+
+def test_cover_fit_refuses_a_bad_rung_before_its_directory(tmp_path):
+    cfg = ExperimentConfig.from_dict(base_config())
+    for ladder in ([0.5, 0.0], [-0.5], [math.inf]):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            cli.cover_fit(cfg, str(tmp_path / "cover"), eps_ladder=ladder)
+    assert not os.listdir(tmp_path)
+
+
+def test_flags_overlay_the_file_before_its_one_validation(
+        tmp_path, monkeypatch):
+    calls = []
+    from_dict = ExperimentConfig.from_dict
+
+    def counted(cls, raw):
+        calls.append(raw)
+        return from_dict(raw)
+
+    monkeypatch.setattr(ExperimentConfig, "from_dict", classmethod(counted))
+    # T = 0 alone is a config error; the flag makes the run valid
+    path = write_config(tmp_path, base_config(T=0))
+    out = tmp_path / "o"
+    assert cli.main(["run", path, "--out", str(out), "--T", "64"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["T"] == 64 and manifest["config"]["rounds"] is None
+    assert len(calls) == 1 and calls[0]["T"] == 64
+    assert cli.main(["run", path, "--out", str(tmp_path / "o2")]) == 2
+    assert len(calls) == 2
+
+
+def test_load_config_without_overrides_is_unchanged(tmp_path):
+    raw = base_config(seeds=[1, 2], grid_eps=1 / 64, emit_curves=True)
+    cfg = load_config(write_config(tmp_path, raw))
+    assert cfg == ExperimentConfig.from_dict(raw)
+    assert cfg == load_config(write_config(tmp_path, raw), {})
+    assert cfg.hash() == ("93c54e2d6cdc44a918a4260883e23bac3d8ef08225d3de097a"
+                          "4a244842f2860c")
+
+
+def tree_sha256(out) -> str:
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(out)):
+        h.update(name.encode() + b"\0" + (out / name).read_bytes())
+    return h.hexdigest()
+
+
+# SHA-256 of each run's whole output tree: the CLI's outputs must not move
+RUN_TREE_SHA256 = {
+    "d1": "bed02b87326f7873889565a52331b6f4ac2964be72764b524c83a9efddbda9ce",
+    "d2": "848c5ebec18a18a3c68f6f40a27087861b2e53ea306d42e429926ef40dd2b4bb",
+    "anytime":
+        "342b3f4e5add7f40184f1c93f7f2b46abe4e4d7a800597d031feb8293f82d0f1",
+    "pricing_debug":
+        "6d927fb8abdc4433b57d5574f6b3451c986057425c9646b8c4934b517dbb964f",
+    "exp3p":
+        "adb1baf7e928ee43d53cf3bafd82221b919aebc9c637963b0a4e66cacc735c69",
+    "no_snapshots":
+        "be242935ecc3367c909ff28082a874350d55f69f8467fbc1c000e013334381e0",
+    "flagged":
+        "5df186cf4b4933a57278a6ffdc51609f2ae0b91b36b4ac809ca678333f8627a0",
+}
+
+
+@pytest.mark.parametrize("name, over, flags", [
+    ("d1", {"T": 512, "seeds": [0, 1]}, []),
+    ("d2", {"space": {"kind": "cube", "d": 2}, "env": TENT_D2, "T": 1024,
+            "emit_curves": True}, []),
+    ("anytime", {"T": None, "rounds": 300}, []),
+    ("pricing_debug", {"env": {"kind": "pricing",
+                               "values": {"kind": "uniform"}},
+                       "T": 256, "seeds": [3], "debug_invariants": True}, []),
+    ("exp3p", dict(EXP3P, T=256, baseline={"grid_eps": 0.25}), []),
+    ("no_snapshots", {"T": 512, "seeds": [2], "record_pi": False}, []),
+    ("flagged", {"T": 64}, ["--T", "200", "--seeds", "4,5", "--emit-curves",
+                            "1", "--repr-policy", "seeded_uniform",
+                            "--grid-eps", "0.0078125"]),
+])
+def test_run_output_trees_are_pinned(tmp_path, name, over, flags):
+    raw = {k: v for k, v in base_config(**over).items() if v is not None}
+    out = tmp_path / "o"
+    assert cli.main(["run", write_config(tmp_path, raw), "--out", str(out),
+                     *flags]) == 0
+    assert tree_sha256(out) == RUN_TREE_SHA256[name]
 
 
 def test_audit_verb(tmp_path):
@@ -360,13 +483,6 @@ def test_cover_verb(tmp_path):
     rep = json.loads((out / "cover.json").read_text())
     assert rep["counts"][0] >= 1
     assert "z_hat" in rep
-
-
-BUMP = {"kind": "baseline_bump", "peak": 0.55, "baseline": 0.2}
-COMBINED = {"kind": "combined",
-            "instances": [dict(BUMP, support=[0.1, 0.4]),
-                          dict(BUMP, support=[0.6, 0.9])],
-            "subsets": [[0.1, 0.4], [0.6, 0.9]], "baselines": [0.2, 0.2]}
 
 
 def cover_json_per_eps(cfg, ladder) -> str:

@@ -217,6 +217,35 @@ def test_phase_schedule_and_arbitrary_interleaving():
     assert env.instance_of_round(1) == 0 and env.instance_of_round(2) == 1
 
 
+BUMPS_SPEC = {
+    "kind": "combined",
+    "instances": [{"kind": "baseline_bump", "peak": 0.55, "baseline": 0.2,
+                   "support": sup} for sup in ([0.1, 0.4], [0.6, 0.9])],
+    "subsets": [[0.1, 0.4], [0.6, 0.9]], "baselines": [0.2, 0.2],
+}
+
+
+def test_combined_schedule_has_one_parser():
+    def schedule(**sched):
+        spec = dict(BUMPS_SPEC, schedule=sched) if sched else BUMPS_SPEC
+        return env_from_spec(spec, 64, 0).schedule.tolist()
+
+    # equal consecutive phases only when no schedule is given
+    assert schedule() == [0] * 32 + [1] * 32
+    want = [1] * 10 + [0] * 54
+    assert schedule(phases=[[1, 10], [0, 54]]) == want
+    assert schedule(per_round=want) == want
+    with pytest.raises(ValueError, match=r"unknown keys \['phasez'\]"):
+        schedule(phasez=[[1, 10], [0, 54]])
+    with pytest.raises(ValueError, match="not both"):
+        schedule(phases=[[1, 10], [0, 54]], per_round=want)
+    # the key picks the format: pairs under per_round are not phases
+    for bad in ({"phases": []}, {"per_round": []},
+                {"per_round": [[1, 10], [0, 54]]}):
+        with pytest.raises(ValueError, match="schedule total"):
+            schedule(**bad)
+
+
 # -- dynamic pricing ----------------------------------------------------------
 
 
