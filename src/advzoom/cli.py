@@ -63,6 +63,9 @@ class ExperimentConfig:
             if key not in raw:
                 raise ValueError(f"missing config key: {key}")
         cfg = cls(**raw)
+        if not (isinstance(cfg.space, dict) and isinstance(cfg.env, dict)):
+            raise ValueError(f"config.space and config.env must be objects, "
+                             f"got {cfg.space!r} and {cfg.env!r}")
         if cfg.algorithm not in ALGORITHMS:
             raise ValueError(f"config.algorithm must be one of {ALGORITHMS}")
         if (cfg.T is None) == (cfg.rounds is None):
@@ -84,8 +87,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown baseline keys: {sorted(extra)}")
         if cfg.baseline.get("grid_eps") is not None:
             baselines.checked_grid_eps(cfg.baseline["grid_eps"])
-        if not cfg.seeds:
-            raise ValueError("config.seeds must be non-empty")
+        if not (type(cfg.seeds) is list and cfg.seeds
+                and all(type(s) is int for s in cfg.seeds)):  # no bools
+            raise ValueError(f"config.seeds must be a non-empty list of "
+                             f"ints, got {cfg.seeds!r}")
         if cfg.repr_policy not in (None, *REPR_POLICIES):
             raise ValueError(f"config.repr_policy must be one of "
                              f"{REPR_POLICIES}, got {cfg.repr_policy!r}")

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .rng import splitmix64, stream_key, uniform
+from .rng import TOP53, splitmix64, stream_key, uniform
 
 QUANT_BITS = 40  # arm quantization for the noise counter
 NOISE_KINDS = ("bernoulli", "none", "gauss")
@@ -137,24 +137,24 @@ def _checked_scale(scale: float) -> float:
     return scale
 
 
-def _realize(mu: np.ndarray, u: np.ndarray, noise: str, scale: float):
-    if noise == "bernoulli":
-        return (u < mu).astype(np.float64)
-    if noise == "none":
-        return np.broadcast_to(mu, u.shape).astype(np.float64)
-    # truncated gaussian: inverse-CDF normal, clipped back into [0,1];
+def _gauss(u, mu, scale, out):
+    """Truncated Gaussian rewards from uniforms u into out, working in u:
+    inverse-CDF normal, clipped back into [0,1]."""
     # scipy is imported here, its only use, so other runs never load it
     from scipy.special import ndtri
 
-    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    return np.clip(mu + scale * z, 0.0, 1.0)
+    np.clip(u, 1e-12, 1.0 - 1e-12, out=u)
+    ndtri(u, out=u)
+    u *= scale
+    u += mu
+    return np.clip(u, 0.0, 1.0, out=out)
 
 
 def _single_reward(env, means, i: int, t: int, arm) -> float:
     """Reward of one arm at round t under instance means[i].
 
     Each tuple arm's means (one per instance) and noise counter are
-    computed once, by the same vector functions reward_block uses, and kept
+    computed once, by the same vector functions RewardTable uses, and kept
     in env._arms; learners play one representative arm per node, so the
     dict holds at most one entry per node.  The reward then costs one
     scalar uniform and equals reward_block([t], [arm])[0, 0] bit for bit.
@@ -168,10 +168,83 @@ def _single_reward(env, means, i: int, t: int, arm) -> float:
             env._arms[arm] = entry
     mus, q = entry
     mu = mus[i]
+    if env.noise == "none":
+        return mu
     u = uniform(env._key, t, q)
     if env.noise == "bernoulli":
         return 1.0 if u < mu else 0.0
-    return float(_realize(mu, u, env.noise, env.noise_scale))
+    u = np.array(u)
+    return float(_gauss(u, mu, env.noise_scale, u))
+
+
+class RewardTable:
+    """An environment's rewards over fixed arms, a block of rounds at a time.
+
+    Per-arm constants (means or Bernoulli thresholds, one column per
+    instance; noise-counter hashes; prices) are computed once, here, and a
+    block's per-round ones once, by rounds(ts); fill then writes any run of
+    arms' rewards into caller buffers.  Noise is counter_hash(key, t, q) =
+    splitmix64(r_t ^ splitmix64(q)), r_t = splitmix64(key ^ splitmix64(t)).
+    Bernoulli compares the hash's top 53 bits k with ceil(mu 2^53): u =
+    k 2^-53 < mu iff k < mu 2^53 (an exact scaling) iff k < ceil(mu 2^53).
+    """
+
+    def __init__(self, env, xs):
+        xs = np.asarray(xs, dtype=np.float64)
+        pts = np.atleast_2d(xs) if env.d > 1 else xs.reshape(-1, 1)
+        self.env, self.n = env, len(pts)
+        if env.kind == "pricing":
+            self.par = pts[:, :1]  # prices
+            return
+        means = env.means if env.kind == "combined" else [env.mean]
+        par = np.stack([np.atleast_1d(m(pts)) for m in means], axis=1)
+        if env.noise == "bernoulli":
+            par = np.ceil(par * 2.0 ** 53).astype(np.uint64)
+        self.par = par  # (n, instances)
+        if env.noise != "none":
+            self.arm_hash = splitmix64(arm_counter(pts))[:, None]
+
+    def rounds(self, ts):
+        """Per-round constants of rounds ts for fill."""
+        env, ts = self.env, np.asarray(ts, dtype=np.int64)
+        if env.kind == "pricing":
+            return env.value(ts), None
+        r = (None if env.noise == "none" else
+             splitmix64(env._key ^ splitmix64(ts.astype(np.uint64))))
+        return r, (env.schedule[ts - 1] if env.kind == "combined" else None)
+
+    def fill(self, rounds, lo: int, hi: int, out, tmp):
+        """Rewards of arms lo:hi into out, float64 of shape (hi - lo, rounds),
+        with tmp a uint64 scratch of that shape."""
+        env, par, (r, inst) = self.env, self.par[lo:hi], rounds
+        if env.kind == "pricing":
+            np.less_equal(par, r, out=out)
+            out *= par
+            return out
+        if env.noise == "none":
+            if inst is None:
+                np.copyto(out, par)
+                return out
+            return np.take(par, inst, axis=1, out=out, mode="clip")
+        h = out.view(np.uint64)
+        np.bitwise_xor(r, self.arm_hash[lo:hi], out=h)
+        np.right_shift(splitmix64(h, out=h, scratch=tmp), TOP53, out=h)
+        if env.noise == "bernoulli":
+            if inst is not None:  # each round's instance, from contiguous rows
+                par = np.take(par, inst, axis=1, out=tmp, mode="clip")
+            return np.less(h, par, out=out)
+        # Gaussian: u goes to tmp (numpy would copy a cast onto h's own
+        # memory), which frees out for the means
+        u = np.multiply(h, 2.0 ** -53, out=tmp.view(np.float64))
+        if inst is not None:
+            par = np.take(par, inst, axis=1, out=out, mode="clip")
+        return _gauss(u, par, env.noise_scale, out)
+
+    def block(self, ts, out=None):
+        """Rewards of every arm at rounds ts, shape (n, len(ts)), into out."""
+        out = np.empty((self.n, len(ts))) if out is None else out
+        return self.fill(self.rounds(ts), 0, self.n, out,
+                         np.empty(out.shape, dtype=np.uint64))
 
 
 class StochasticEnv:
@@ -195,13 +268,9 @@ class StochasticEnv:
     def reward(self, t: int, arm) -> float:
         return _single_reward(self, (self.mean,), 0, t, arm)
 
-    def reward_block(self, ts, xs) -> np.ndarray:
+    def reward_block(self, ts, xs, out=None) -> np.ndarray:
         """Rewards for arms x rows, rounds t columns: shape (len(xs), len(ts))."""
-        ts = np.asarray(ts, dtype=np.int64)
-        mu = np.atleast_1d(self.mean(xs))
-        q = arm_counter(xs)
-        u = uniform(self._key, ts[None, :], q[:, None])
-        return _realize(mu[:, None], u, self.noise, self.noise_scale)
+        return RewardTable(self, xs).block(ts, out)
 
 
 # --------------------------------------------------------------------------
@@ -247,13 +316,8 @@ class CombinedEnv:
         i = self.instance_of_round(t)
         return _single_reward(self, self.means, i, t, arm)
 
-    def reward_block(self, ts, xs) -> np.ndarray:
-        ts = np.asarray(ts, dtype=np.int64)
-        mus = np.stack([np.atleast_1d(m(xs)) for m in self.means])  # (M, nx)
-        mu = mus[self.schedule[ts - 1], :].T  # (nx, nt)
-        q = arm_counter(xs)
-        u = uniform(self._key, ts[None, :], q[:, None])
-        return _realize(mu, u, self.noise, self.noise_scale)
+    def reward_block(self, ts, xs, out=None) -> np.ndarray:
+        return RewardTable(self, xs).block(ts, out)
 
 
 MIN_SPREAD = 1.0 / 3.0
@@ -343,21 +407,16 @@ def make_combined(instances: list, schedule, subsets: list, baselines: list,
 # --------------------------------------------------------------------------
 
 
-def _target_params(params: dict) -> tuple:
-    a = float(params["a"])
-    b = float(params["b"])
-    lo, hi = params.get("support", (b, min(1.0, a + b)))
-    if not (0.0 < a <= b <= 1.0):
-        raise ValueError(f"non-monotone CDF: need 0 < a <= b <= 1, got a={a} b={b}")
-    if hi > a + b + 1e-12 or hi > 1.0 or hi < b:
-        raise ValueError(
-            f"non-monotone CDF: support end {hi} outside [b, a+b] = [{b}, {a + b}]"
-        )
-    return a, b, float(lo), float(hi)
-
-
 def pricing_value_from_cdf(kind: str, params: dict, u):
-    """Inverse-CDF private value for a uniform draw u (scalar or array).
+    """Inverse-CDF private value for a uniform draw u (scalar or array)."""
+    return _value_law(kind, params)[0](np.asarray(u, dtype=np.float64))
+
+
+def _value_law(kind: str, params: dict):
+    """(inverse CDF, mean revenue x Pr[v >= x]) of a private-value
+    distribution, its parameters checked and parsed once.  The inverse CDF
+    takes an array u or a float, which gets the same IEEE operations on
+    Python floats and so the array path's bits.
 
     uniform: values on [a, b].
 
@@ -370,19 +429,36 @@ def pricing_value_from_cdf(kind: str, params: dict, u):
     below the peak).  Parameter combinations that break monotonicity even
     on [b, hi] are rejected.
     """
-    u = np.asarray(u, dtype=np.float64)
     if kind == "uniform":
         a, b = float(params.get("a", 0.0)), float(params.get("b", 1.0))
         if not (0.0 <= a <= b <= 1.0):
             raise ValueError(f"non-monotone CDF: uniform needs 0 <= a <= b <= 1")
-        return a + u * (b - a)
-    if kind == "target":
-        a, b, _, hi = _target_params(params)
-        m0 = (b - a) / b
-        f_hi = 2.0 - (a + b) / hi
+
+        def revenue(xs):
+            if b == a:
+                return xs * (xs <= a)
+            surv = np.clip((b - xs) / (b - a), 0.0, 1.0)
+            return xs * np.where(xs <= a, 1.0, surv)
+        return (lambda u: a + u * (b - a)), revenue
+    if kind != "target":
+        raise ValueError(f"unknown value distribution {kind!r}")
+    a, b = float(params["a"]), float(params["b"])
+    _, hi = params.get("support", (b, min(1.0, a + b)))
+    if not (0.0 < a <= b <= 1.0):
+        raise ValueError(f"non-monotone CDF: need 0 < a <= b <= 1, got a={a} b={b}")
+    if hi > a + b + 1e-12 or hi > 1.0 or hi < b:
+        raise ValueError(
+            f"non-monotone CDF: support end {hi} outside [b, a+b] = [{b}, {a + b}]"
+        )
+    m0, f_hi, hi = (b - a) / b, 2.0 - (a + b) / hi, float(hi)
+
+    def value(u):
+        if isinstance(u, float):  # min(u, f_hi) is u where it is used
+            return 0.0 if u < m0 else (a + b) / (2.0 - u) if u <= f_hi else hi
         mid = (a + b) / (2.0 - np.minimum(u, f_hi))
         return np.where(u < m0, 0.0, np.where(u <= f_hi, mid, hi))
-    raise ValueError(f"unknown value distribution {kind!r}")
+    return value, lambda xs: np.where(
+        xs <= b, xs * a / b, np.where(xs <= hi, a + b - xs, 0.0))
 
 
 class PricingEnv:
@@ -400,44 +476,28 @@ class PricingEnv:
                  value_params: Optional[dict] = None, seed: int = 0):
         self.value_kind = value_kind
         self.value_params = dict(value_params or {})
-        # one draw checks the kind and its parameters now
-        pricing_value_from_cdf(value_kind, self.value_params, 0.5)
+        self._value_of, self._revenue = _value_law(value_kind,
+                                                   self.value_params)
         self.seed = seed
         self._key = stream_key(seed, "env.values")
 
     def value(self, t) -> np.ndarray:
-        if not isinstance(t, int):
-            t = np.asarray(t, dtype=np.int64)
-        u = uniform(self._key, t)
-        return pricing_value_from_cdf(self.value_kind, self.value_params, u)
+        """Private value of round t: a float for an int t, else an array."""
+        if isinstance(t, int):
+            return self._value_of(float(uniform(self._key, t)))
+        return self._value_of(uniform(self._key, np.asarray(t, dtype=np.int64)))
 
     def mean_at(self, t: int, xs) -> np.ndarray:
         """Analytic mean revenue x * Pr[v >= x]."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=np.float64)).reshape(-1)
-        if self.value_kind == "uniform":
-            a = float(self.value_params.get("a", 0.0))
-            b = float(self.value_params.get("b", 1.0))
-            if b == a:
-                surv = (xs <= a).astype(np.float64)
-            else:
-                surv = np.clip((b - xs) / (b - a), 0.0, 1.0)
-                surv = np.where(xs <= a, 1.0, surv)
-            return xs * surv
-        a, b, _, hi = _target_params(self.value_params)
-        mu = np.where(
-            xs <= b, xs * a / b, np.where(xs <= hi, a + b - xs, 0.0)
-        )
-        return mu
+        return self._revenue(
+            np.atleast_1d(np.asarray(xs, dtype=np.float64)).reshape(-1))
 
     def reward(self, t: int, arm) -> float:
-        x = float(np.atleast_1d(np.asarray(arm))[0])
-        return x if x <= float(self.value(t)) else 0.0
+        x = float(arm[0] if isinstance(arm, tuple) else np.ravel(arm)[0])
+        return x if x <= self.value(t) else 0.0
 
-    def reward_block(self, ts, xs) -> np.ndarray:
-        ts = np.asarray(ts, dtype=np.int64)
-        xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))[:, 0]
-        vs = self.value(ts)
-        return np.where(xs[:, None] <= vs[None, :], xs[:, None], 0.0)
+    def reward_block(self, ts, xs, out=None) -> np.ndarray:
+        return RewardTable(self, xs).block(ts, out)
 
 
 # --------------------------------------------------------------------------

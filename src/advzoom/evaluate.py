@@ -11,18 +11,20 @@ accumulators.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .env import RewardTable
 from .metric import greedy_net
 from .trace import Trace
 
 MAX_EVALS = 10**7  # guard on arm-round reward evaluations
-_CHUNK = 64  # grid arms per replay block
-_BLOCK = 2048  # rounds per replay block: 1 MiB per float64 temporary
+_CHUNK = 32  # grid arms per replay block
+_BLOCK = 2048  # rounds per replay block: 512 KiB per block buffer
 
 
 def grid_points(d: int, eps: float) -> np.ndarray:
@@ -45,7 +47,7 @@ def grid_eps_for(d: int, T: int, eps: Optional[float] = None) -> float:
     """Evaluation grid spacing for T rounds on [0,1]^d: an explicit eps,
     checked, or the default (1/1024 at d=1, 1/64 per axis above) doubled
     until the grid's (round(1/eps)+1)^d arms x T rounds fit MAX_EVALS."""
-    if not isinstance(T, (int, np.integer)) or T < 1:
+    if not isinstance(T, (int, np.integer)) or isinstance(T, bool) or T < 1:
         raise ValueError(f"the horizon must be an int >= 1, got {T!r}")
     e = (1.0 / 1024 if d == 1 else 1.0 / 64) if eps is None else eps
     # round(1/e) is finite from 1/MAX_EVALS on; e < 2 keeps 2 points an axis
@@ -73,26 +75,34 @@ def _replay(env, grid: np.ndarray, T: int, checkpoints=None):
 
     Each block's running totals are folded into its first column before the
     cumsum, so every partial sum is the same IEEE addition, in the same
-    order, as one cumsum over all T rounds: the result is bit-identical and
+    order, as one cumsum over all T rounds: the result is bit-identical
+    whatever the block shape.  The block buffers are allocated once, so
     memory is one block whatever T is.
     """
+    n = len(grid)
     cum_best = np.full(T, -np.inf)
     cps = np.asarray([T] if checkpoints is None else checkpoints, dtype=int)
-    totals = np.zeros((len(grid), len(cps)))
-    for lo in range(0, len(grid), _CHUNK):
-        arms = grid[lo : lo + _CHUNK]
-        carry = None
-        for t0 in range(0, T, _BLOCK):
-            t1 = min(T, t0 + _BLOCK)
-            rb = env.reward_block(np.arange(t0 + 1, t1 + 1), arms)
-            if carry is not None:
-                rb[:, 0] += carry
-            cs = np.cumsum(rb, axis=1)
-            best = cum_best[t0:t1]
-            np.maximum(best, cs.max(axis=0), out=best)
-            hit = (cps > t0) & (cps <= t1)
-            totals[lo : lo + len(arms), hit] = cs[:, cps[hit] - 1 - t0]
-            carry = cs[:, -1]
+    totals = np.zeros((n, len(cps)))
+    carry = np.zeros(n)
+    table = RewardTable(env, grid)
+    size = min(n, _CHUNK) * min(T, _BLOCK)
+    buf, tmp = np.empty(size), np.empty(size, dtype=np.uint64)
+    for t0 in range(0, T, _BLOCK):
+        t1 = min(T, t0 + _BLOCK)
+        rounds = table.rounds(np.arange(t0 + 1, t1 + 1))
+        best = cum_best[t0:t1]
+        hit = (cps > t0) & (cps <= t1)
+        for lo in range(0, n, _CHUNK):
+            hi = min(n, lo + _CHUNK)
+            k = (hi - lo) * (t1 - t0)
+            rb = table.fill(rounds, lo, hi, buf[:k].reshape(hi - lo, -1),
+                            tmp[:k].reshape(hi - lo, -1))
+            if t0:
+                rb[:, 0] += carry[lo:hi]
+            np.cumsum(rb, axis=1, out=rb)
+            np.maximum(best, rb.max(axis=0), out=best)
+            totals[lo:hi, hit] = rb[:, cps[hit] - 1 - t0]
+            carry[lo:hi] = rb[:, -1]
     return cum_best, (totals[:, 0] if checkpoints is None else totals)
 
 
@@ -224,9 +234,13 @@ def covering_count(points, eps: float) -> int:
     metric.greedy_net at radius eps/2, so 0 for an empty set."""
     pts = np.asarray(points, dtype=np.float64)
     pts = np.atleast_2d(pts) if pts.size else pts
-    return len(greedy_net(
-        len(pts), lambda c, idx: np.max(np.abs(pts[idx] - pts[c]), axis=1),
-        eps / 2.0))
+    cols = np.ascontiguousarray(pts.T)  # sup distance folded axis by axis
+
+    def dist_to(c, idx):
+        return functools.reduce(np.maximum,
+                                [np.abs(col[idx] - col[c]) for col in cols])
+
+    return len(greedy_net(len(pts), dist_to, eps / 2.0))
 
 
 @dataclass

@@ -24,6 +24,8 @@ import numpy as np
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
+TOP53 = np.uint64(11)  # right shift to a hash's top 53 bits
 
 _M64 = (1 << 64) - 1
 _INTS = (int, np.integer)
@@ -32,15 +34,21 @@ _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 
 
-def splitmix64(x):
-    """splitmix64 finalizer, elementwise over uint64 scalars or arrays."""
-    x = np.asarray(x, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = x + _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        z = z ^ (z >> np.uint64(31))
-    return z
+def splitmix64(x, out=None, scratch=None):
+    """splitmix64 finalizer, elementwise over uint64 scalars or arrays, mixed
+    in place in out (default: a copy of x; x changes only if it is out)
+    through one scratch array, so given both buffers it allocates nothing."""
+    if out is None:
+        out = np.array(x, dtype=np.uint64)
+    elif out is not x:
+        np.copyto(out, x, casting="unsafe")
+    s = np.empty_like(out) if scratch is None else scratch
+    out += _GOLDEN
+    for shift, mult in ((_S30, _MIX1), (_S27, _MIX2)):
+        out ^= np.right_shift(out, shift, out=s)
+        out *= mult
+    out ^= np.right_shift(out, _S31, out=s)
+    return out if out.ndim else out[()]
 
 
 def _mix(x: int) -> int:
@@ -66,11 +74,11 @@ def stream_key(seed: int, tag: str) -> np.uint64:
 
 
 def counter_hash(key, a, b=0):
-    """uint64 hash of (key, a, b); a and b may be arrays (broadcast)."""
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
+    """uint64 hash of (key, a, b); a and b may be arrays (broadcast).  The
+    outer XOR is mixed in place, so a block costs it and one scratch."""
     h = splitmix64(np.asarray(key, dtype=np.uint64) ^ splitmix64(a))
-    return splitmix64(h ^ splitmix64(b))
+    h = np.asarray(h ^ splitmix64(b))
+    return splitmix64(h, out=h)
 
 
 def uniform(key, a, b=0):
@@ -80,6 +88,8 @@ def uniform(key, a, b=0):
         # counter_hash on Python ints; integers wrap modulo 2**64 as in uint64
         h = _mix(_mix(int(key) ^ _mix(int(a) & _M64)) ^ _mix(int(b) & _M64))
         return np.float64((h >> 11) * 2.0 ** -53)
-    h = counter_hash(key, a, b)
-    # top 53 bits -> [0, 1) with full double precision
-    return (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    # top 53 bits -> [0, 1) with full double precision; the shift is in
+    # place, and the floats are the one new array (a cast onto the hash's
+    # own memory would be copied by numpy first)
+    h = np.asarray(counter_hash(key, a, b))
+    return np.right_shift(h, TOP53, out=h) * 2.0 ** -53

@@ -367,6 +367,14 @@ PRICING_A_GT_B = {"kind": "pricing", "values": {"kind": "uniform", "a": 0.9,
                                              "per_round": [0] * 16})},
      [], "phases or per_round, not both"),
     ("run", None, [], "the config must be a JSON object"),
+    ("run", {"T": True}, [], "horizon must be an int >= 1, got True"),
+    ("run", {"T": None, "rounds": True}, [], "an int >= 1, got True"),
+    ("run", {"seeds": 5}, [], "config.seeds must be a non-empty list of ints"),
+    ("run", {"seeds": ["a"]}, [], "list of ints, got ['a']"),
+    ("run", {"seeds": [True]}, [], "list of ints, got [True]"),
+    ("run", {"seeds": []}, [], "list of ints, got []"),
+    ("run", {"space": 5}, [], "config.space and config.env must be objects"),
+    ("run", {"env": ["pricing"]}, [], "got {'kind': 'cube', 'd': 1} and ["),
 ])
 def test_bad_config_exits_2_with_nothing_written(
         tmp_path, monkeypatch, capsys, verb, over, flags, reason):

@@ -4,7 +4,9 @@ import re
 import numpy as np
 import pytest
 
+from advzoom import evaluate
 from advzoom.env import (
+    NOISE_KINDS,
     CombinedEnv,
     MeanFunction,
     PricingEnv,
@@ -246,6 +248,127 @@ def test_combined_schedule_has_one_parser():
             schedule(**bad)
 
 
+# -- the block path ---------------------------------------------------------
+
+
+def _mu_edges():
+    """Bernoulli means at the edges of the 2^-53 grid of uniform draws."""
+    exact = [0.0, 2.0 ** -53, 12345 * 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0]
+    near = [np.nextafter(m, to) for m in exact for to in (0.0, 1.0)]
+    return sorted({float(m) for m in exact + near})
+
+
+@pytest.mark.parametrize("mu", _mu_edges())
+def test_bernoulli_threshold_equals_the_float_rule_at_its_edges(
+        mu, monkeypatch):
+    """The block path's integer threshold against u < mu, on hashes whose
+    top 53 bits k are placed around ceil(mu 2^53)."""
+    import advzoom.env as env_module
+
+    K = math.ceil(mu * 2.0 ** 53)
+    ks = [k for k in range(K - 2, K + 2) if 0 <= k < 2 ** 53]
+    placed = np.array([(k << 11) | low for k in ks for low in (0, 2047)],
+                      dtype=np.uint64)
+    real = env_module.splitmix64
+
+    def placing(x, out=None, scratch=None):
+        if out is not None and out.ndim == 2:  # the block's hashes
+            out[...] = placed
+            return out
+        return real(x, out, scratch)
+
+    monkeypatch.setattr(env_module, "splitmix64", placing)
+    env = StochasticEnv(MeanFunction("custom_table",
+                                     {"xs": [0, 1], "ys": [mu, mu]}), seed=0)
+    assert env.mean(0.5) == mu
+    got = env.reward_block(np.arange(1, len(placed) + 1), [[0.5]])[0]
+    want = [1.0 if (int(h) >> 11) * 2.0 ** -53 < mu else 0.0 for h in placed]
+    assert got.tolist() == want
+
+
+def _every_env_kind():
+    m1, m2 = two_bumps()
+    for noise in NOISE_KINDS:
+        yield StochasticEnv(tent_mean(), noise=noise, noise_scale=0.2, seed=3)
+        yield StochasticEnv(tent_mean(target=[0.618, 0.382]), noise=noise,
+                            noise_scale=0.2, seed=3)
+        yield make_combined([m1, m2], np.tile([0, 0, 1], 22)[:64],
+                            [(0.1, 0.4), (0.6, 0.9)], [0.2, 0.2], T=64,
+                            noise=noise, noise_scale=0.2, seed=3)
+    yield PricingEnv("uniform", {"a": 0.1, "b": 0.9}, seed=3)
+    yield PricingEnv("target", {"a": 0.25, "b": 0.5, "support": (0.3, 0.7)},
+                     seed=3)
+
+
+@pytest.mark.parametrize("env", list(_every_env_kind()),
+                         ids=lambda e: f"{e.kind}-{getattr(e, 'noise', '')}")
+def test_reward_block_on_unsorted_repeated_rounds_equals_reward(env):
+    ts = np.array([5, 3, 5, 64, 1, 3, 40, 2, 64, 17])
+    gen = np.random.default_rng(9)
+    arms = np.vstack([gen.random((6, env.d)), np.zeros(env.d),
+                      np.ones(env.d)])
+    block = env.reward_block(ts, arms)
+    assert block.shape == (len(arms), len(ts))
+    for i, arm in enumerate(arms):
+        for j, t in enumerate(ts):
+            assert block[i, j].hex() == \
+                env.reward(int(t), tuple(arm.tolist())).hex(), (t, arm)
+    out = np.full_like(block, np.nan)
+    assert env.reward_block(ts, arms, out=out) is out
+    assert out.tobytes() == block.tobytes()
+
+
+@pytest.mark.parametrize("noise", NOISE_KINDS)
+@pytest.mark.parametrize("kind", ["stochastic", "combined"])
+def test_reward_block_equals_the_float_uniform_reference(kind, noise):
+    """Rewards realized from rng.uniform's float draws, as before the block
+    kernel: u < mu, mu itself, and the clipped inverse-normal."""
+    from scipy.special import ndtri
+
+    from advzoom.env import arm_counter
+    from advzoom.rng import uniform
+
+    m1, m2 = two_bumps()
+    env = (StochasticEnv(tent_mean(target=[0.618, 0.382]), noise=noise,
+                         noise_scale=0.2, seed=7)
+           if kind == "stochastic" else
+           make_combined([m1, m2], np.tile([0, 1, 1], 30)[:80],
+                         [(0.1, 0.4), (0.6, 0.9)], [0.2, 0.2], T=80,
+                         noise=noise, noise_scale=0.2, seed=7))
+    xs = evaluate.grid_points(env.d, 1 / 12)
+    ts = np.arange(1, 81)
+    mu = np.stack([env.mean_at(t, xs) for t in ts], axis=1)
+    u = uniform(env._key, ts[None, :], arm_counter(xs)[:, None])
+    want = {"bernoulli": (u < mu).astype(np.float64), "none": mu,
+            "gauss": np.clip(mu + 0.2 * ndtri(np.clip(u, 1e-12, 1 - 1e-12)),
+                             0.0, 1.0)}[noise]
+    assert env.reward_block(ts, xs).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["stochastic", "combined"])
+def test_none_noise_draws_nothing(kind, monkeypatch):
+    import advzoom.env as env_module
+
+    m1, m2 = two_bumps()
+    env = (StochasticEnv(tent_mean(target=[0.618, 0.382]), noise="none")
+           if kind == "stochastic" else
+           make_combined([m1, m2], [(0, 40), (1, 24)],
+                         [(0.1, 0.4), (0.6, 0.9)], [0.2, 0.2], T=64,
+                         noise="none"))
+    grid = evaluate.grid_points(env.d, 1 / 8)
+    means = np.stack([env.mean_at(t, grid) for t in range(1, 65)], axis=1)
+
+    def draw(*args, **kw):
+        raise AssertionError("none noise drew a uniform or hashed a counter")
+
+    monkeypatch.setattr(env_module, "uniform", draw)
+    monkeypatch.setattr(env_module, "splitmix64", draw)
+    assert env.reward_block(np.arange(1, 65), grid).tobytes() == \
+        means.tobytes()
+    _, totals = evaluate._replay(env, grid, 64)
+    assert totals.tobytes() == means.cumsum(axis=1)[:, -1].tobytes()
+
+
 # -- dynamic pricing ----------------------------------------------------------
 
 
@@ -264,6 +387,24 @@ def test_pricing_buy_rule():
 def test_single_arm_reward_equals_block_pricing(kind, params):
     env = PricingEnv(kind, params, seed=2)
     assert_single_arm_rewards_equal_block(env, 4096, 1)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("uniform", {"a": 0.1, "b": 0.9}),
+    ("target", {"a": 0.25, "b": 0.5, "support": (0.3, 0.7)}),
+])
+def test_pricing_scalar_value_equals_the_array_path(kind, params):
+    env = PricingEnv(kind, params, seed=5)
+    ts = np.arange(1, 3001)
+    assert [env.value(int(t)).hex() for t in ts] == \
+        [float(v).hex() for v in env.value(ts)]
+    # the target family's branch points and their neighbours
+    m0, f_hi = (0.5 - 0.25) / 0.5, 2.0 - 0.75 / 0.7
+    us = [0.0, 1.0 - 2.0 ** -53] + [
+        float(np.nextafter(e, to)) for e in (m0, f_hi) for to in (0.0, 1.0)]
+    for u in us + [m0, f_hi]:
+        assert env._value_of(u).hex() == \
+            float(env._value_of(np.array([u]))[0]).hex(), u
 
 
 def test_pricing_value_from_cdf_uniform():

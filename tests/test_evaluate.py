@@ -268,6 +268,16 @@ def test_blocked_replay_is_bit_identical_to_one_pass(case, T):
         assert np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("T", [1, BLOCK - 3, BLOCK, 2 * BLOCK + 1])
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_blocked_replay_is_bit_identical_under_a_second_block_shape(
+        case, T, monkeypatch):
+    # odd chunks and blocks: partial ones everywhere, edges off the phases
+    monkeypatch.setattr(evaluate, "_CHUNK", 5)
+    monkeypatch.setattr(evaluate, "_BLOCK", 97)
+    test_blocked_replay_is_bit_identical_to_one_pass(case, T)
+
+
 def test_replay_memory_does_not_grow_with_the_horizon():
     # one pass over 9 arms x 2^22 rounds holds a 302 MB reward table and its
     # temporaries at once; the blocked replay must fit in 1 GiB of address

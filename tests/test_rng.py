@@ -99,3 +99,16 @@ def test_counter_hash_second_axis():
     same_a = counter_hash(key, 4, np.arange(8))
     assert len(set(same_a.tolist())) == 8
     assert int(counter_hash(key, 4, 2)) == int(same_a[2])
+
+
+def test_splitmix64_leaves_its_input_unchanged():
+    x = np.arange(100, dtype=np.uint64) * np.uint64(GOLDEN_GAMMA)
+    before = x.copy()
+    y = splitmix64(x)
+    assert np.array_equal(x, before) and not np.shares_memory(x, y)
+    # into given buffers: x is copied into out, then mixed there
+    out, scratch = np.empty_like(x), np.empty_like(x)
+    assert splitmix64(x, out=out, scratch=scratch) is out
+    assert np.array_equal(x, before) and np.array_equal(out, y)
+    # in place only when x itself is out
+    assert splitmix64(x, out=x) is x and np.array_equal(x, y)
