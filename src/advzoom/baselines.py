@@ -10,17 +10,18 @@ the algorithm tag of the trace differs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import algo
+from .metric import product_grid
 from .trace import RoundRecord, Trace
 
 
 def checked_grid_eps(eps) -> float:
-    if not (0.0 < float(eps) <= 1.0):
+    if (isinstance(eps, bool) or not isinstance(eps, (int, float))
+            or not 0.0 < eps <= 1.0):
         raise ValueError(f"grid eps must be in (0, 1], got {eps!r}")
     return float(eps)
 
@@ -28,11 +29,7 @@ def checked_grid_eps(eps) -> float:
 def uniform_grid(d: int, eps: float) -> np.ndarray:
     """Cell centers of the uniform eps-grid on [0,1]^d: K = ceil(1/eps)^d arms."""
     m = math.ceil(1.0 / checked_grid_eps(eps))
-    axis = (np.arange(m) + 0.5) / m
-    if d == 1:
-        return axis.reshape(-1, 1)
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=1)
+    return product_grid((np.arange(m) + 0.5) / m, d)
 
 
 def default_grid_eps(T: int, d: int) -> float:
@@ -40,40 +37,27 @@ def default_grid_eps(T: int, d: int) -> float:
     return float(T) ** (-1.0 / (d + 2))
 
 
-@dataclass(frozen=True)
-class Exp3PParams:
-    beta: float
-    gamma: float
-    eta: float
-    conf_scale: float = 1.0  # multiplier on beta/pi in the estimator
-
-
-def default_params(K: int, T: int) -> Exp3PParams:
-    # standard horizon tuning: gamma ~ sqrt(K log(KT)/T), eta = gamma/K,
-    # beta ~ sqrt(log(KT)/(KT)); all capped at 1/2
+def default_params(K: int, T: int) -> algo.ParamValues:
+    """Standard horizon tuning: gamma ~ sqrt(K log(KT)/T), eta = gamma/K,
+    beta ~ sqrt(log(KT)/(KT)); all capped at 1/2, and beta_tilde = beta."""
     lg = math.log(max(2, K * T))
+    beta = min(0.5, math.sqrt(lg / (K * T)))
     gamma = min(0.5, math.sqrt(K * lg / T))
-    return Exp3PParams(
-        beta=min(0.5, math.sqrt(lg / (K * T))),
-        gamma=gamma,
-        eta=min(0.5, gamma / K),
-    )
+    return algo.ParamValues(beta, beta, gamma, min(0.5, gamma / K))
 
 
 class Exp3PState(algo.AlgState):
-    """The learner's state over the arm rows, zooming off, constant params."""
+    """The learner's state over the arm rows: zooming off, constant params
+    (default_params unless given) and confidence coefficient 1."""
 
     def __init__(self, arms: np.ndarray, T: int, seed: int = 0,
-                 params: Optional[Exp3PParams] = None,
+                 params: Optional[algo.ParamValues] = None,
                  record_state: bool = False):
         arms = np.atleast_2d(np.asarray(arms, dtype=np.float64))
-        params = params or default_params(len(arms), T)
-        override = algo.ParamValues(params.beta, params.beta, params.gamma,
-                                    params.eta)
         super().__init__(arms, T, algo.AlgoConfig(
             seed=seed, record_state=record_state, zoom_enabled=False,
-            param_override=override))
-        self.schedule.conf_coeff = params.conf_scale
+            param_override=params or default_params(len(arms), T)))
+        self.schedule.conf_coeff = 1.0
         self.trace.algorithm = "exp3p_uniform"
 
 
@@ -82,10 +66,8 @@ def exp3p_step(state: Exp3PState, env) -> RoundRecord:
 
 
 def exp3p_run(arms, T: int, env, seed: int = 0,
-              params: Optional[Exp3PParams] = None,
               record_state: bool = False) -> Trace:
-    state = Exp3PState(arms, T, seed=seed, params=params,
-                       record_state=record_state)
+    state = Exp3PState(arms, T, seed=seed, record_state=record_state)
     while state.t <= T:
         exp3p_step(state, env)
     return state.trace

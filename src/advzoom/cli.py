@@ -82,6 +82,9 @@ class ExperimentConfig:
             FiniteMetricSpace.from_file(cfg.space["path"])
         else:
             raise ValueError(f"space.kind must be cube or finite: {cfg.space}")
+        if not isinstance(cfg.baseline, dict):
+            raise ValueError(f"config.baseline must be an object, "
+                             f"got {cfg.baseline!r}")
         extra = set(cfg.baseline) - {"grid_eps"}
         if extra:
             raise ValueError(f"unknown baseline keys: {sorted(extra)}")
@@ -161,16 +164,10 @@ def _space_of(cfg: ExperimentConfig):
 
 
 def _merge_anytime(phases: list) -> Trace:
-    """Concatenate phase traces: global round numbers, offset node ids."""
-    first = phases[0]
-    merged = Trace(
-        algorithm="adversarial_zooming",
-        T=sum(tr.n_rounds for tr in phases),
-        d=first.d,
-        n_dbl=first.n_dbl,
-        seed=first.seed,
-        space_kind=first.space_kind,
-    )
+    """Concatenate phase traces under the first one's header and the total
+    T: global round numbers, offset node ids."""
+    merged = replace(phases[0], T=sum(tr.n_rounds for tr in phases),
+                     rounds=[], node_table={})
     t_base = 0
     id_base = 0
     for tr in phases:
@@ -293,12 +290,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 # --------------------------------------------------------------------------
 
 
-def sweep_horizons(cfg: ExperimentConfig, horizons: list, out_dir) -> dict:
-    """Mean regret per horizon and the log-log slope with its stderr."""
+def _sweep_grid_eps(cfg: ExperimentConfig, horizons: list) -> list:
+    """Each horizon's evaluation grid spacing, for a ladder that a slope
+    can be fitted to."""
     if len(horizons) < 3:
         raise ValueError("need at least 3 horizons for a slope fit")
-    grid_eps = [evaluate.grid_eps_for(cfg.dim, int(T), cfg.grid_eps)
-                for T in horizons]
+    return [evaluate.grid_eps_for(cfg.dim, int(T), cfg.grid_eps)
+            for T in horizons]
+
+
+def sweep_horizons(cfg: ExperimentConfig, horizons: list, out_dir) -> dict:
+    """Mean regret per horizon and the log-log slope with its stderr."""
+    grid_eps = _sweep_grid_eps(cfg, horizons)
     os.makedirs(out_dir, exist_ok=True)
     per_T = []
     for T, eps in zip(horizons, grid_eps):
@@ -327,9 +330,8 @@ def sweep_horizons(cfg: ExperimentConfig, horizons: list, out_dir) -> dict:
 def audit_env(cfg: ExperimentConfig, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     environment = env_from_spec(cfg.env, cfg.horizon, cfg.seeds[0])
-    rep = lipschitz_audit(environment, T=cfg.horizon, seed=cfg.seeds[0])
-    out = {"mode": rep.mode, "n_pairs": rep.n_pairs, "n_rounds": rep.n_rounds,
-           "flagged": rep.flagged, "ok": rep.ok}
+    rep = lipschitz_audit(environment, cfg.horizon, seed=cfg.seeds[0])
+    out = {**asdict(rep), "ok": rep.ok}
     _write_json(os.path.join(out_dir, "audit.json"), out)
     return out
 
@@ -424,8 +426,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides)
         if args.verb == "sweep":
             horizons = [int(v) for v in args.horizons.split(",")]
-            for T in horizons:
-                evaluate.grid_eps_for(cfg.dim, T, cfg.grid_eps)
+            _sweep_grid_eps(cfg, horizons)
         if args.verb == "cover" and args.eps:
             args.eps = _checked_ladder([float(v) for v in args.eps.split(",")])
     except (ValueError, OSError) as err:

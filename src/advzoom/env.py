@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .rng import TOP53, splitmix64, stream_key, uniform
+from .rng import TOP53, _mix, splitmix64, stream_key, uniform
 
 QUANT_BITS = 40  # arm quantization for the noise counter
 NOISE_KINDS = ("bernoulli", "none", "gauss")
@@ -150,31 +150,32 @@ def _gauss(u, mu, scale, out):
     return np.clip(u, 0.0, 1.0, out=out)
 
 
-def _single_reward(env, means, i: int, t: int, arm) -> float:
-    """Reward of one arm at round t under instance means[i].
+def _single_reward(env, i: int, t: int, arm) -> float:
+    """Reward of one arm at round t under instance i, equal to
+    reward_block([t], [arm])[0, 0] bit for bit.
 
-    Each tuple arm's means (one per instance) and noise counter are
-    computed once, by the same vector functions RewardTable uses, and kept
-    in env._arms; learners play one representative arm per node, so the
-    dict holds at most one entry per node.  The reward then costs one
-    scalar uniform and equals reward_block([t], [arm])[0, 0] bit for bit.
+    A tuple arm's row of a one-arm RewardTable (means or Bernoulli
+    thresholds, one per instance, and the arm hash as an int) is kept in
+    env._arms; learners play one representative arm per node, so the dict
+    holds at most one entry per node.  The round's hash then runs the block
+    path's splitmix64 on Python ints, and Bernoulli takes its integer
+    compare.
     """
     entry = env._arms.get(arm) if isinstance(arm, tuple) else None
     if entry is None:
-        xs = np.asarray(arm)
-        entry = ([float(np.atleast_1d(m(xs))[0]) for m in means],
-                 int(arm_counter(arm)[0]))
+        table = RewardTable(env, [arm])
+        entry = (table.par[0].tolist(),
+                 None if env.noise == "none" else int(table.arm_hash[0, 0]))
         if isinstance(arm, tuple):
             env._arms[arm] = entry
-    mus, q = entry
-    mu = mus[i]
-    if env.noise == "none":
-        return mu
-    u = uniform(env._key, t, q)
+    par, arm_hash = entry
+    if arm_hash is None:
+        return par[i]
+    k = _mix(_mix(int(env._key) ^ _mix(int(t))) ^ arm_hash) >> 11
     if env.noise == "bernoulli":
-        return 1.0 if u < mu else 0.0
-    u = np.array(u)
-    return float(_gauss(u, mu, env.noise_scale, u))
+        return 1.0 if k < par[i] else 0.0
+    u = np.array(k * 2.0 ** -53)
+    return float(_gauss(u, par[i], env.noise_scale, u))
 
 
 class RewardTable:
@@ -240,11 +241,11 @@ class RewardTable:
             par = np.take(par, inst, axis=1, out=out, mode="clip")
         return _gauss(u, par, env.noise_scale, out)
 
-    def block(self, ts, out=None):
-        """Rewards of every arm at rounds ts, shape (n, len(ts)), into out."""
-        out = np.empty((self.n, len(ts))) if out is None else out
-        return self.fill(self.rounds(ts), 0, self.n, out,
-                         np.empty(out.shape, dtype=np.uint64))
+    def block(self, ts):
+        """Rewards of every arm at rounds ts, shape (n, len(ts))."""
+        shape = (self.n, len(ts))
+        return self.fill(self.rounds(ts), 0, self.n, np.empty(shape),
+                         np.empty(shape, dtype=np.uint64))
 
 
 class StochasticEnv:
@@ -257,20 +258,19 @@ class StochasticEnv:
         self.mean = mean
         self.noise = _checked_noise(noise)
         self.noise_scale = _checked_scale(noise_scale)
-        self.seed = seed
         self.d = mean.d
         self._key = stream_key(seed, "env.noise")
-        self._arms = {}  # tuple arm -> (means, counter), see _single_reward
+        self._arms = {}  # tuple arm -> RewardTable row, see _single_reward
 
     def mean_at(self, t: int, xs) -> np.ndarray:
         return self.mean(xs)
 
     def reward(self, t: int, arm) -> float:
-        return _single_reward(self, (self.mean,), 0, t, arm)
+        return _single_reward(self, 0, t, arm)
 
-    def reward_block(self, ts, xs, out=None) -> np.ndarray:
+    def reward_block(self, ts, xs) -> np.ndarray:
         """Rewards for arms x rows, rounds t columns: shape (len(xs), len(ts))."""
-        return RewardTable(self, xs).block(ts, out)
+        return RewardTable(self, xs).block(ts)
 
 
 # --------------------------------------------------------------------------
@@ -287,20 +287,16 @@ class CombinedEnv:
 
     kind = "combined"
 
-    def __init__(self, means: list, schedule: np.ndarray, subsets: list,
-                 baselines: list, noise: str = "bernoulli",
-                 noise_scale: float = 0.1, seed: int = 0):
+    def __init__(self, means: list, schedule: np.ndarray,
+                 noise: str = "bernoulli", noise_scale: float = 0.1,
+                 seed: int = 0):
         self.means = means
         self.schedule = np.asarray(schedule, dtype=np.int64)
-        self.subsets = subsets
-        self.baselines = list(baselines)
         self.noise = _checked_noise(noise)
         self.noise_scale = _checked_scale(noise_scale)
-        self.seed = seed
         self.d = means[0].d
-        self.T = len(self.schedule)
         self._key = stream_key(seed, "env.noise")
-        self._arms = {}  # tuple arm -> (means, counter), see _single_reward
+        self._arms = {}  # tuple arm -> RewardTable row, see _single_reward
 
     def instance_of_round(self, t: int) -> int:
         return int(self.schedule[t - 1])
@@ -308,53 +304,40 @@ class CombinedEnv:
     def mean_at(self, t: int, xs) -> np.ndarray:
         return self.means[self.instance_of_round(t)](xs)
 
-    def frequencies(self, upto: Optional[int] = None) -> np.ndarray:
-        sched = self.schedule if upto is None else self.schedule[:upto]
-        return np.bincount(sched, minlength=len(self.means)) / len(sched)
-
     def reward(self, t: int, arm) -> float:
-        i = self.instance_of_round(t)
-        return _single_reward(self, self.means, i, t, arm)
+        return _single_reward(self, self.instance_of_round(t), t, arm)
 
-    def reward_block(self, ts, xs, out=None) -> np.ndarray:
-        return RewardTable(self, xs).block(ts, out)
+    def reward_block(self, ts, xs) -> np.ndarray:
+        return RewardTable(self, xs).block(ts)
 
 
 MIN_SPREAD = 1.0 / 3.0
 
 
-def phase_schedule(phases: Sequence, T: Optional[int] = None) -> np.ndarray:
+def phase_schedule(phases: Sequence) -> np.ndarray:
     """Expand [(instance, length), ...] into a per-round instance array."""
     parts = [np.full(int(n), int(i), dtype=np.int64) for i, n in phases]
-    out = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    if T is not None and len(out) != T:
-        raise ValueError(
-            f"schedule total on [T] fails: covers {len(out)} of {T} rounds"
-        )
-    return out
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
-def make_combined(instances: list, schedule, subsets: list, baselines: list,
-                  T: Optional[int] = None, noise: str = "bernoulli",
-                  noise_scale: float = 0.1, seed: int = 0,
-                  probe: int = 2048) -> CombinedEnv:
-    """Validated combined instance.
+def make_combined(means: list, schedule, subsets: list, baselines: list,
+                  T: int, noise: str = "bernoulli", noise_scale: float = 0.1,
+                  seed: int = 0) -> CombinedEnv:
+    """Validated combined instance of the mean functions `means`.
 
-    instances may be StochasticEnv or bare MeanFunction objects; schedule is
-    a list of (instance, length) phases or an array of per-round instances.
-    Rejects, naming the failing assumption: overlapping subsets, spread
-    below 1/3, off-subset means not exactly the baseline, means above
-    baseline outside all subsets, or a schedule that does not cover [T].
+    schedule is a list of (instance, length) phases or an array of
+    per-round instances.  Rejects, naming the failing assumption:
+    overlapping subsets, spread below 1/3, off-subset means not exactly the
+    baseline, means above baseline outside all subsets, or a schedule that
+    does not cover [T].  The means are probed on 2049 points of [0, 1].
     """
-    means = [inst.mean if isinstance(inst, StochasticEnv) else inst
-             for inst in instances]
     M = len(means)
     if not (len(subsets) == len(baselines) == M):
         raise ValueError("need one subset and one baseline per instance")
     if isinstance(schedule, (list, tuple)):
-        schedule = phase_schedule(schedule, T)
+        schedule = phase_schedule(schedule)
     schedule = np.asarray(schedule, dtype=np.int64)
-    if T is not None and len(schedule) != T:
+    if len(schedule) != T:
         raise ValueError(
             f"schedule total on [T] fails: covers {len(schedule)} of {T} rounds"
         )
@@ -372,7 +355,7 @@ def make_combined(instances: list, schedule, subsets: list, baselines: list,
                     f"S_{j}={ivals[j]}"
                 )
 
-    grid = np.linspace(0.0, 1.0, probe + 1)
+    grid = np.linspace(0.0, 1.0, 2049)
     inside = [(grid >= lo) & (grid <= hi) for lo, hi in ivals]
     outside_all = ~np.any(inside, axis=0)
     tol = 1e-9
@@ -398,18 +381,13 @@ def make_combined(instances: list, schedule, subsets: list, baselines: list,
             raise ValueError(
                 f"baseline fails: instance {i} above b_{i} outside all subsets"
             )
-    return CombinedEnv(means, schedule, ivals, baselines, noise=noise,
-                       noise_scale=noise_scale, seed=seed)
+    return CombinedEnv(means, schedule, noise=noise, noise_scale=noise_scale,
+                       seed=seed)
 
 
 # --------------------------------------------------------------------------
 # Dynamic pricing
 # --------------------------------------------------------------------------
-
-
-def pricing_value_from_cdf(kind: str, params: dict, u):
-    """Inverse-CDF private value for a uniform draw u (scalar or array)."""
-    return _value_law(kind, params)[0](np.asarray(u, dtype=np.float64))
 
 
 def _value_law(kind: str, params: dict):
@@ -474,11 +452,8 @@ class PricingEnv:
 
     def __init__(self, value_kind: str = "uniform",
                  value_params: Optional[dict] = None, seed: int = 0):
-        self.value_kind = value_kind
-        self.value_params = dict(value_params or {})
         self._value_of, self._revenue = _value_law(value_kind,
-                                                   self.value_params)
-        self.seed = seed
+                                                   value_params or {})
         self._key = stream_key(seed, "env.values")
 
     def value(self, t) -> np.ndarray:
@@ -496,8 +471,8 @@ class PricingEnv:
         x = float(arm[0] if isinstance(arm, tuple) else np.ravel(arm)[0])
         return x if x <= self.value(t) else 0.0
 
-    def reward_block(self, ts, xs, out=None) -> np.ndarray:
-        return RewardTable(self, xs).block(ts, out)
+    def reward_block(self, ts, xs) -> np.ndarray:
+        return RewardTable(self, xs).block(ts)
 
 
 # --------------------------------------------------------------------------
@@ -517,9 +492,9 @@ class AuditReport:
         return not self.flagged
 
 
-def lipschitz_audit(env, pairs: int = 200, seed: int = 0,
-                    n_rounds: int = 128, T: Optional[int] = None) -> AuditReport:
-    """Sample-based reward-smoothness audit.
+def lipschitz_audit(env, T: int, pairs: int = 200, seed: int = 0,
+                    n_rounds: int = 128) -> AuditReport:
+    """Sample-based reward-smoothness audit over rounds 1..T.
 
     For mean-based environments: estimate E[g_t(x) - g_t(y)] by averaging
     over sampled rounds and flag pairs where the estimate exceeds
@@ -527,13 +502,12 @@ def lipschitz_audit(env, pairs: int = 200, seed: int = 0,
     per-realization condition g_t(x) - g_t(x') <= x - x' exactly.
     """
     key = stream_key(seed, "audit")
-    horizon = T or getattr(env, "T", None) or 4096
-    ts = 1 + (uniform(key, np.arange(n_rounds), 1) * horizon).astype(np.int64)
-    d = getattr(env, "d", 1)
+    ts = 1 + (uniform(key, np.arange(n_rounds), 1) * T).astype(np.int64)
+    d = env.d
     xs = uniform(key, np.arange(pairs * d), 2).reshape(pairs, d)
     ys = uniform(key, np.arange(pairs * d), 3).reshape(pairs, d)
     flagged = []
-    if getattr(env, "kind", "") == "pricing":
+    if env.kind == "pricing":
         hi = np.maximum(xs[:, 0], ys[:, 0])
         lo = np.minimum(xs[:, 0], ys[:, 0])
         r_hi = env.reward_block(ts, hi.reshape(-1, 1))
@@ -570,6 +544,14 @@ def _take(spec: dict, allowed: set, where: str) -> None:
         raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _number(spec: dict, key: str, default, where: str):
+    """spec[key], or default when absent, which must be an int or a float."""
+    v = spec.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{where}.{key} must be a number, got {v!r}")
+    return v
+
+
 def _mean_from_spec(spec: dict, where: str = "env") -> MeanFunction:
     kind = spec.get("kind")
     if kind == "custom_table":
@@ -586,11 +568,11 @@ def _mean_from_spec(spec: dict, where: str = "env") -> MeanFunction:
     params = {}
     if kind == "distance_to_target":
         params["target"] = spec.get("target", 0.6180339887498949)
-        params["peak"] = spec.get("peak", 0.8)
-        params["baseline"] = spec.get("baseline", 0.0)
+        params["peak"] = _number(spec, "peak", 0.8, where)
+        params["baseline"] = _number(spec, "baseline", 0.0, where)
     elif kind in ("concave", "baseline_bump"):
-        params["peak"] = spec.get("peak", 0.9)
-        params["baseline"] = spec.get("baseline", 0.1)
+        params["peak"] = _number(spec, "peak", 0.9, where)
+        params["baseline"] = _number(spec, "baseline", 0.1, where)
     else:
         raise ValueError(f"unknown environment kind {kind!r} in {where}")
     if "support" in spec:
@@ -613,10 +595,14 @@ def env_from_spec(spec: dict, T: int, seed: int):
     if "noise_scale" in spec and noise != "gauss":
         raise ValueError(f"noise_scale needs \"noise\": \"gauss\", "
                          f"not noise {noise!r}")
-    noise_scale = float(spec.get("noise_scale", 0.1))
+    noise_scale = float(_number(spec, "noise_scale", 0.1, "env"))
     if kind == "combined":
         _take(spec, {"kind", "instances", "subsets", "baselines", "schedule",
                      "noise", "noise_scale"}, "env")
+        for key in ("instances", "subsets", "baselines"):
+            if not isinstance(spec.get(key), list):
+                raise ValueError(f"a combined env needs env.{key}, a list, "
+                                 f"got {spec.get(key)!r}")
         means = [_mean_from_spec(s, f"env.instances[{i}]")
                  for i, s in enumerate(spec["instances"])]
         sched = spec.get("schedule") or {}

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from .env import RewardTable
-from .metric import greedy_net
+from .metric import greedy_net, product_grid
 from .trace import Trace
 
 MAX_EVALS = 10**7  # guard on arm-round reward evaluations
@@ -36,11 +36,7 @@ def grid_points(d: int, eps: float) -> np.ndarray:
     if eps <= 0:
         raise ValueError("grid_eps must be positive")
     m = int(round(1.0 / eps))
-    axis = np.arange(m + 1, dtype=np.float64) / m
-    if d == 1:
-        return axis.reshape(-1, 1)
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=1)
+    return product_grid(np.arange(m + 1, dtype=np.float64) / m, d)
 
 
 def grid_eps_for(d: int, T: int, eps: Optional[float] = None) -> float:
@@ -49,6 +45,9 @@ def grid_eps_for(d: int, T: int, eps: Optional[float] = None) -> float:
     until the grid's (round(1/eps)+1)^d arms x T rounds fit MAX_EVALS."""
     if not isinstance(T, (int, np.integer)) or isinstance(T, bool) or T < 1:
         raise ValueError(f"the horizon must be an int >= 1, got {T!r}")
+    if eps is not None and (isinstance(eps, bool)
+                            or not isinstance(eps, (int, float))):
+        raise ValueError(f"grid_eps must be a number, got {eps!r}")
     e = (1.0 / 1024 if d == 1 else 1.0 / 64) if eps is None else eps
     # round(1/e) is finite from 1/MAX_EVALS on; e < 2 keeps 2 points an axis
     while not (1.0 / MAX_EVALS <= e < 2.0
@@ -126,16 +125,8 @@ class RegretReport:
     regret_curve: np.ndarray = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "grid_eps": self.grid_eps,
-            "n_grid": self.n_grid,
-            "regret": self.regret,
-            "best_arm": list(self.best_arm),
-            "best_total": self.best_total,
-            "alg_total": self.alg_total,
-            "lipschitz_slack": self.lipschitz_slack,
-        }
+        """The scalar fields; the per-round curves (repr=False) stay out."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
 def regret(trace: Trace, env, grid_eps: Optional[float] = None,
@@ -251,12 +242,7 @@ class CoverReport:
     multiplier: float  # fitted gamma in N(eps) ~ gamma * eps^-z
 
     def to_dict(self) -> dict:
-        return {
-            "eps_ladder": list(self.eps_ladder),
-            "counts": [float(c) for c in self.counts],
-            "z_hat": self.z_hat,
-            "multiplier": self.multiplier,
-        }
+        return {**asdict(self), "counts": [float(c) for c in self.counts]}
 
 
 def loglog_slope(xs, ys):

@@ -11,7 +11,8 @@ Two hierarchies are provided:
 Nodes of both hierarchies answer `scale` (cube diameter, ball radius) and
 `children` (the nodes one level down), which is all the zooming learner asks
 of them.  Plus the covering utilities: one greedy net (the DAG's levels
-here, evaluate's cover counts) and a brute-force doubling-constant estimate.
+here, evaluate's cover counts) and a brute-force doubling-constant estimate;
+and product_grid, the grids of evaluation and of the fixed-grid baseline.
 """
 
 from __future__ import annotations
@@ -50,10 +51,9 @@ class CubeNode:
     height: int
 
     @property
-    def diameter(self) -> float:
+    def scale(self) -> float:
+        """The sup-diameter, equal to the side."""
         return 2.0 * self.half_width
-
-    scale = diameter
 
     @property
     def children(self) -> list:
@@ -67,8 +67,14 @@ class CubeNode:
         return tuple(c - self.half_width for c in self.center)
 
 
+def product_grid(axis: np.ndarray, d: int) -> np.ndarray:
+    """The points of axis^d as rows, the last coordinate varying fastest."""
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=1)
+
+
 def cube_root(d: int) -> CubeNode:
-    """Root cube [0,1]^d: height 0, diameter 1."""
+    """Root cube [0,1]^d: height 0, scale 1."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     return CubeNode(
@@ -142,12 +148,11 @@ def representative(u, policy: str = "center", seed: int = 0) -> tuple:
 class FiniteMetricSpace:
     """Finite point set with an explicit distance matrix.
 
-    Symmetry, zero diagonal, nonnegativity and the triangle inequality are
-    checked on construction; diameter must be <= 1 (pass normalize=True to
-    rescale instead of rejecting).
+    Symmetry, zero diagonal, nonnegativity, the triangle inequality and a
+    diameter of at most 1 are checked on construction.
     """
 
-    def __init__(self, points: Sequence, dist, normalize: bool = False):
+    def __init__(self, points: Sequence, dist):
         dist = np.asarray(dist, dtype=np.float64)
         n = len(points)
         if n == 0:
@@ -174,24 +179,18 @@ class FiniteMetricSpace:
                 f"triangle inequality violated at pair ({i}, {j}): "
                 f"d={dist[i, j]:.6g} > best detour {via[i, j]:.6g}"
             )
-        diam = float(dist.max())
-        if diam > 1.0:
-            if not normalize:
-                raise ValueError(f"diameter {diam:.6g} > 1; pass normalize=True")
-            dist = dist / diam
+        if dist.max() > 1.0:
+            raise ValueError(f"diameter {float(dist.max()):.6g} > 1")
         self.points = list(points)
         self.dist = dist
 
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def diameter(self) -> float:
-        return float(self.dist.max())
-
     @classmethod
-    def from_file(cls, path, points=None, normalize: bool = False):
-        """Load from text: first line n, then n rows of n distances."""
+    def from_file(cls, path):
+        """Load from text: first line n, then n rows of n distances; the
+        points are 0..n-1."""
         with open(path) as f:
             tokens = f.read().split()
         if not tokens:
@@ -200,10 +199,7 @@ class FiniteMetricSpace:
         vals = [float(v) for v in tokens[1:]]
         if len(vals) != n * n:
             raise ValueError(f"{path}: expected {n * n} distances, got {len(vals)}")
-        dist = np.array(vals).reshape(n, n)
-        if points is None:
-            points = list(range(n))
-        return cls(points, dist, normalize=normalize)
+        return cls(list(range(n)), np.array(vals).reshape(n, n))
 
 
 def greedy_net(n: int, dist_to, r: float) -> list:
@@ -272,8 +268,7 @@ def build_zooming_dag(space: FiniteMetricSpace, max_height: int) -> ZoomingDag:
     Level h is a greedy (2r)-cover of the space with r = 2**-h, so its balls
     of radius r cover everything and their centers are > r apart.  Children
     of u are all next-level nodes whose balls share a point with B(u); this
-    yields the covering (a), overlap (b) and separation (c) properties
-    checked by check_dag_properties.
+    yields the covering (a), overlap (b) and separation (c) properties.
     """
     if max_height < 0:
         raise ValueError("max_height must be >= 0")
@@ -305,33 +300,6 @@ def build_zooming_dag(space: FiniteMetricSpace, max_height: int) -> ZoomingDag:
         # a (2*1)-cover of a diameter-<=1 space is a single ball
         raise AssertionError("root level should be a single node")
     return ZoomingDag(space=space, max_height=max_height, nodes=nodes, levels=levels)
-
-
-def check_dag_properties(dag: ZoomingDag) -> list:
-    """Exhaustively verify properties (a)-(c); returns human-readable failures."""
-    bad = []
-    space = dag.space
-    for h, level in enumerate(dag.levels):
-        r = 2.0 ** -h
-        for uid in level:
-            u = dag.nodes[uid]
-            if h < dag.max_height:
-                covered = set()
-                for v in u.children:
-                    covered |= v.ball
-                if not u.ball <= covered:
-                    bad.append(f"(a) ball of {uid} not covered by children")
-                for v in u.children:
-                    if not (u.ball & v.ball):
-                        bad.append(f"(b) {uid} does not overlap child "
-                                   f"{v.node_id}")
-        for i, uid in enumerate(level):
-            for vid in level[i + 1:]:
-                a = dag.nodes[uid].center_point
-                b = dag.nodes[vid].center_point
-                if space.dist[a, b] <= r:
-                    bad.append(f"(c) same-radius centers {uid},{vid} within {r}")
-    return bad
 
 
 # --------------------------------------------------------------------------

@@ -34,7 +34,7 @@ class Node:
 
     @property
     def scale(self):
-        return self.cube.diameter
+        return self.cube.scale
 
 
 def params(t, n_active, T, n_dbl, d, prev_beta):

@@ -6,7 +6,6 @@ import pytest
 
 from advzoom import algo, baselines, evaluate
 from advzoom.baselines import (
-    Exp3PParams,
     Exp3PState,
     default_grid_eps,
     exp3p_run,
@@ -46,7 +45,7 @@ def test_two_arm_probability_monotone():
     # deterministic rewards (1, 0); with no confidence bonus the weight of
     # arm 1 never decreases and strictly grows whenever it is played
     env = two_arm_env(hi=1.0, lo=0.0, noise="none")
-    params = Exp3PParams(beta=0.0, gamma=0.1, eta=0.05)
+    params = algo.ParamValues(beta=0.0, beta_tilde=0.0, gamma=0.1, eta=0.05)
     state = Exp3PState(uniform_grid(1, 0.5), 64, seed=2, params=params,
                        record_state=True)
     probs = []
@@ -85,11 +84,11 @@ def test_reduction_to_exp3p_on_fixed_nodes():
     )
     assert state.n_active == K
     ztr = algo.run(state, env)
-    btr = exp3p_run(
-        np.array(pts).reshape(-1, 1), T, env, seed=seed,
-        params=Exp3PParams(beta=beta, gamma=gamma, eta=eta, conf_scale=cc),
-        record_state=True,
-    )
+    bstate = Exp3PState(np.array(pts).reshape(-1, 1), T, seed=seed,
+                        params=algo.ParamValues(beta, beta, gamma, eta),
+                        record_state=True)
+    bstate.schedule.conf_coeff = cc  # the zooming learner's bonus
+    btr = algo.run(bstate, env)
     for zr, br in zip(ztr.rounds, btr.rounds):
         assert ztr.node_table[zr.node_id].arm == btr.node_table[br.node_id].arm
         assert zr.reward == br.reward
@@ -101,7 +100,7 @@ def test_exp3p_run_is_audited_against_its_own_coefficient():
     # round, the paper's 1 + 4 log2 T = 41 would fail on every round
     T = 1024
     state = Exp3PState(uniform_grid(1, 0.5), T, seed=0,
-                       params=Exp3PParams(beta=0.1, gamma=0.5, eta=0.1))
+                       params=algo.ParamValues(0.1, 0.1, 0.5, 0.1))
     assert state.schedule.conf_coeff == 1.0
     env = two_arm_env(seed=0)
     while state.t <= T:

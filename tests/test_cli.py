@@ -375,6 +375,21 @@ PRICING_A_GT_B = {"kind": "pricing", "values": {"kind": "uniform", "a": 0.9,
     ("run", {"seeds": []}, [], "list of ints, got []"),
     ("run", {"space": 5}, [], "config.space and config.env must be objects"),
     ("run", {"env": ["pricing"]}, [], "got {'kind': 'cube', 'd': 1} and ["),
+    ("sweep", {}, ["--horizons", "64,128"], "need at least 3 horizons"),
+    ("run", {"baseline": 5}, [], "config.baseline must be an object, got 5"),
+    ("run", {"env": {"kind": "concave", "peak": "1"}}, [],
+     "env.peak must be a number, got '1'"),
+    ("run", {"grid_eps": "0.1"}, [], "grid_eps must be a number, got '0.1'"),
+    ("run", {"env": {k: v for k, v in COMBINED.items() if k != "instances"}},
+     [], "a combined env needs env.instances, a list, got None"),
+    ("run", {"env": dict(COMBINED, instances=[dict(BUMP, baseline=[0.2]),
+                                              BUMP])},
+     [], "env.instances[0].baseline must be a number, got [0.2]"),
+    ("run", {"env": {"kind": "concave", "noise": "gauss",
+                     "noise_scale": "0.1"}}, [],
+     "env.noise_scale must be a number, got '0.1'"),
+    ("run", dict(EXP3P, baseline={"grid_eps": "0.5"}), [],
+     "grid eps must be in (0, 1], got '0.5'"),
 ])
 def test_bad_config_exits_2_with_nothing_written(
         tmp_path, monkeypatch, capsys, verb, over, flags, reason):

@@ -15,7 +15,6 @@ from advzoom.env import (
     lipschitz_audit,
     make_combined,
     phase_schedule,
-    pricing_value_from_cdf,
 )
 from conftest import GOLD, tent_mean
 
@@ -30,9 +29,9 @@ def eval_reward(env, t, x):
     return env.reward(t, x)
 
 
-def mixture_mean(env, xs, upto=None):
+def mixture_mean(env, xs):
     """Mean reward at xs of a combined instance, mixed by round frequency."""
-    f = env.frequencies(upto)
+    f = np.bincount(env.schedule, minlength=len(env.means)) / len(env.schedule)
     return sum(f[i] * np.atleast_1d(m(xs)) for i, m in enumerate(env.means))
 
 
@@ -190,7 +189,7 @@ def test_combined_mixture_identity():
     T = 64
     env = make_combined([m1, m2], [(0, 32), (1, 32)],
                         [(0.1, 0.4), (0.6, 0.9)], [0.2, 0.2], T=T, seed=0)
-    assert env.frequencies().tolist() == [0.5, 0.5]
+    assert np.bincount(env.schedule).tolist() == [32, 32]
     x = 0.25  # inside S_1
     expected = 0.5 * m1(x) + 0.5 * 0.2
     assert mixture_mean(env, x)[0] == pytest.approx(expected)
@@ -313,9 +312,6 @@ def test_reward_block_on_unsorted_repeated_rounds_equals_reward(env):
         for j, t in enumerate(ts):
             assert block[i, j].hex() == \
                 env.reward(int(t), tuple(arm.tolist())).hex(), (t, arm)
-    out = np.full_like(block, np.nan)
-    assert env.reward_block(ts, arms, out=out) is out
-    assert out.tobytes() == block.tobytes()
 
 
 @pytest.mark.parametrize("noise", NOISE_KINDS)
@@ -408,15 +404,11 @@ def test_pricing_scalar_value_equals_the_array_path(kind, params):
 
 
 def test_pricing_value_from_cdf_uniform():
-    assert pricing_value_from_cdf("uniform", {"a": 0.0, "b": 1.0}, 0.4) \
+    assert PricingEnv("uniform", {"a": 0.0, "b": 1.0})._value_of(0.4) \
         == pytest.approx(0.4)
-    vs = pricing_value_from_cdf("uniform", {"a": 0.2, "b": 0.6},
-                                np.array([0.0, 0.5, 1.0]))
+    vs = PricingEnv("uniform", {"a": 0.2, "b": 0.6})._value_of(
+        np.array([0.0, 0.5, 1.0]))
     assert vs.tolist() == pytest.approx([0.2, 0.4, 0.6])
-    with pytest.raises(ValueError):
-        pricing_value_from_cdf("uniform", {"a": 0.9, "b": 0.2}, 0.5)
-    with pytest.raises(ValueError, match="unknown value distribution"):
-        pricing_value_from_cdf("beta", {}, 0.5)
 
 
 @pytest.mark.parametrize("kind, params, reason", [
@@ -435,22 +427,17 @@ def test_pricing_env_checks_its_values_at_construction(kind, params, reason):
 def test_pricing_target_family_mean_revenue():
     params = {"a": 0.25, "b": 0.5, "support": (0.3, 0.7)}
     # Monte Carlo of x * 1{x <= v} against the peak value
-    us = (np.arange(100_000) + 0.5) / 100_000
-    vs = pricing_value_from_cdf("target", params, us)
+    env = PricingEnv("target", params, seed=1)
+    vs = env._value_of((np.arange(100_000) + 0.5) / 100_000)
     mc = np.where(0.5 <= vs, 0.5, 0.0).mean()
     assert mc == pytest.approx(0.25, abs=0.01)
-    env = PricingEnv("target", params, seed=1)
     # right branch keeps the target shape exactly: mu(x) = 1/4 - |x - 1/2|
     for x in (0.5, 0.55, 0.65, 0.7):
         assert env.mean_at(1, x)[0] == pytest.approx(0.25 - abs(x - 0.5))
         mc_x = np.where(x <= vs, x, 0.0).mean()
         assert mc_x == pytest.approx(0.25 - abs(x - 0.5), abs=0.01)
     with pytest.raises(ValueError, match="non-monotone"):
-        pricing_value_from_cdf("target", {"a": 0.6, "b": 0.5}, 0.5)
-    with pytest.raises(ValueError, match="non-monotone"):
-        pricing_value_from_cdf(
-            "target", {"a": 0.25, "b": 0.5, "support": (0.3, 0.9)}, 0.5
-        )
+        PricingEnv("target", {"a": 0.25, "b": 0.5, "support": (0.3, 0.9)})
 
 
 def test_pricing_values_stay_in_unit_interval():
@@ -534,7 +521,7 @@ def test_env_from_spec_kinds(tmp_path):
     assert isinstance(env, PricingEnv)
     env = env_from_spec(two_bump_spec(), T=64, seed=0)
     assert isinstance(env, CombinedEnv)
-    assert env.frequencies().tolist() == [0.5, 0.5]  # default: equal phases
+    assert np.bincount(env.schedule).tolist() == [32, 32]  # equal phases
     csv_path = tmp_path / "table.csv"
     csv_path.write_text("0.0,0.3\n1.0,0.7\n")
     env = env_from_spec({"kind": "custom_table", "path": str(csv_path)},

@@ -18,7 +18,6 @@ from advzoom.metric import (
     FiniteMetricSpace,
     _ball_cover_count,
     build_zooming_dag,
-    check_dag_properties,
     cube_children,
     cube_level,
     cube_root,
@@ -27,6 +26,13 @@ from advzoom.metric import (
     representative,
 )
 from conftest import cover_eps_ladder, euclid_dist, sup_dist, tied_points
+
+
+def unit_space(dist):
+    """The finite space on 0..n-1 of `dist` rescaled to diameter <= 1."""
+    dist = np.asarray(dist, dtype=np.float64)
+    return FiniteMetricSpace(list(range(len(dist))),
+                             dist / max(1.0, dist.max()))
 
 
 def line_space(n):
@@ -123,12 +129,12 @@ def distinct_balls(dist):
 
 def test_cube_root_basics():
     r1 = cube_root(1)
-    assert r1.center == (0.5,) and r1.diameter == 1.0 and r1.height == 0
+    assert r1.center == (0.5,) and r1.scale == 1.0 and r1.height == 0
     r2 = cube_root(2)
-    assert r2.center == (0.5, 0.5) and r2.diameter == 1.0
+    assert r2.center == (0.5, 0.5) and r2.scale == 1.0
     assert len(cube_children(r2)) == 4
     r3 = cube_root(3)
-    assert r3.height == 0 and r3.diameter == 1.0
+    assert r3.height == 0 and r3.scale == 1.0
     with pytest.raises(ValueError):
         cube_root(0)
 
@@ -137,7 +143,7 @@ def test_cube_children_bisection():
     root = cube_root(1)
     kids = cube_children(root)
     assert [k.center[0] for k in kids] == [0.25, 0.75]
-    assert all(k.diameter == 0.5 and k.height == 1 for k in kids)
+    assert all(k.scale == 0.5 and k.height == 1 for k in kids)
     left = kids[0]
     grandkids = cube_children(left)
     assert [k.center[0] for k in grandkids] == [0.125, 0.375]
@@ -166,7 +172,7 @@ def test_children_tile_parent_exactly():
         # total volume preserved and all inside the parent
         vol = sum(np.prod([h - l for l, h in zip(lo, hi)])
                   for lo, hi in zip(los, his))
-        assert vol == pytest.approx(node.diameter ** 2)
+        assert vol == pytest.approx(node.scale ** 2)
         plo, phi = node.low_corner(), tuple(
             c + node.half_width for c in node.center
         )
@@ -179,7 +185,7 @@ def test_scale_matches_height():
     node = cube_root(1)
     for h in range(1, 8):
         node = cube_children(node)[h % 2]
-        assert node.diameter == pytest.approx(2.0 ** -node.height)
+        assert node.scale == pytest.approx(2.0 ** -node.height)
 
 
 def test_cube_level_count():
@@ -213,8 +219,6 @@ def test_space_validation():
         FiniteMetricSpace([0, 1], [[0.1, 0.5], [0.5, 0]])
     with pytest.raises(ValueError, match="diameter"):
         FiniteMetricSpace([0, 1], [[0, 2.0], [2.0, 0]])
-    sp = FiniteMetricSpace([0, 1], [[0, 2.0], [2.0, 0]], normalize=True)
-    assert sp.diameter == 1.0
     with pytest.raises(ValueError, match="empty"):
         FiniteMetricSpace([], np.zeros((0, 0)))
 
@@ -243,7 +247,7 @@ def test_space_from_file(tmp_path):
     path = tmp_path / "space.txt"
     path.write_text("3\n0 1 1\n1 0 1\n1 1 0\n")
     sp = FiniteMetricSpace.from_file(path)
-    assert len(sp) == 3 and sp.diameter == 1.0
+    assert len(sp) == 3 and sp.dist.max() == 1.0
     bad = tmp_path / "bad.txt"
     bad.write_text("3\n0 1\n")
     with pytest.raises(ValueError, match="expected 9"):
@@ -309,10 +313,33 @@ def test_dag_two_far_points_split_at_level_one():
     assert len(dag.levels[1]) >= 2
 
 
+def dag_property_failures(dag):
+    """Exhaustive check of the DAG's covering (a), overlap (b) and
+    separation (c) properties; returns human-readable failures."""
+    bad = []
+    for h, level in enumerate(dag.levels):
+        r = 2.0 ** -h
+        for uid in level:
+            u = dag.nodes[uid]
+            if h < dag.max_height:
+                covered = set().union(*(v.ball for v in u.children))
+                if not u.ball <= covered:
+                    bad.append(f"(a) ball of {uid} not covered by children")
+                bad += [f"(b) {uid} does not overlap child {v.node_id}"
+                        for v in u.children if not u.ball & v.ball]
+        for i, uid in enumerate(level):
+            for vid in level[i + 1:]:
+                a = dag.nodes[uid].center_point
+                b = dag.nodes[vid].center_point
+                if dag.space.dist[a, b] <= r:
+                    bad.append(f"(c) same-radius centers {uid},{vid} within {r}")
+    return bad
+
+
 def test_dag_properties_eight_point_grid():
     sp = line_space(8)
     dag = build_zooming_dag(sp, 4)
-    assert check_dag_properties(dag) == []
+    assert dag_property_failures(dag) == []
     # children centers are (r/2)-separated inside the 1.5r ball around the
     # parent, which packs at most DblC^3 of them (DblC itself is not a valid
     # bound for this construction: the root's level-1 node here has 3
@@ -328,7 +355,7 @@ def test_dag_properties_eight_point_grid():
 
 def test_every_node_kind_answers_scale_and_children():
     root = cube_root(2)
-    assert root.scale == root.diameter == 1.0
+    assert root.scale == 1.0
     assert root.children == cube_children(root)
     dag = build_zooming_dag(line_space(8), 3)
     for h, level in enumerate(dag.levels):
@@ -405,7 +432,7 @@ def doubling_reference(dist):
 def assert_doubling_matches_the_reference(dist):
     """Every ball's count and the report, on the space of `dist` rescaled
     to diameter <= 1."""
-    sp = FiniteMetricSpace(list(range(len(dist))), dist, normalize=True)
+    sp = unit_space(dist)
     for members in distinct_balls(sp.dist):
         assert (_ball_cover_count(sp.dist, list(members))
                 == ball_cover_count_reference(sp.dist, list(members)))
@@ -429,7 +456,7 @@ def test_ball_cover_counts_match_the_reference(d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_ball_cover_counts_match_the_reference_under_euclid(d):
     # grid points of [0,1]^d have Euclidean diameter up to sqrt(d), so the
-    # spaces are built with normalize=True
+    # spaces are rescaled (unit_space)
     rng = np.random.default_rng(30 + d)
     for _ in range(30):
         n = int(rng.integers(2, 21))
@@ -477,7 +504,7 @@ def test_doubling_constant_equals_the_reference_report(n, d, k, euclid, data):
                                min_size=n, max_size=n))
     pts = np.array(cells, dtype=np.float64) / k
     dist = (euclid_dist if euclid else sup_dist)(pts)
-    sp = FiniteMetricSpace(list(range(n)), dist, normalize=True)
+    sp = unit_space(dist)
     assert doubling_constant(sp) == doubling_reference(sp.dist)
 
 
