@@ -180,7 +180,6 @@ class AlgState:
             ids = space.levels[h]
             log_cp = math.log(len(ids)) if len(ids) > 1 else 0.0
             level = [(space.nodes[nid], log_cp) for nid in ids]
-        self.space = space
         self.kind = kind
         self.d = float(config.d if config.d is not None else d)
         self.n_dbl = int(config.n_dbl if config.n_dbl is not None else n_dbl)
@@ -502,36 +501,25 @@ def check_assumptions(schedule: ParamSchedule, trace: Trace) -> AssumptionReport
     which rounds had gamma_t = gamma_coeff |A_t| beta_t clamped at 1/2
     (none under a constant override, which bypasses the formula).
     """
-    tol = 1e-12
-    cc = schedule.conf_coeff
-    formula = schedule.override is None
+    rounds, tol = trace.rounds, 1e-12
+    t = np.array([r.t for r in rounds], dtype=np.int64)
+    beta, beta_tilde, gamma, eta, n_active = np.array(
+        [(r.beta, r.beta_tilde, r.gamma, r.eta, r.n_active) for r in rounds],
+        dtype=np.float64).reshape(-1, 5).T
+    share = gamma / n_active
+    with np.errstate(divide="raise"):  # a zero beta raises, as 1/0 does
+        window = 1.0 / beta[1:] - 1.0 / beta[:-1] + tol
     out = {
-        "eta_le_beta": [],
-        "beta_le_gamma_share": [],
-        "product_clause": [],
-        "tilde_nonincreasing": [],
-        "tilde_ge_beta": [],
-        "tilde_window": [],
+        "eta_le_beta": t[eta > beta + tol],
+        "beta_le_gamma_share": t[beta > share + tol],
+        "product_clause":
+            t[eta * (1.0 + beta * schedule.conf_coeff) > share + tol],
+        "tilde_nonincreasing": t[1:][beta_tilde[1:] > beta_tilde[:-1] + tol],
+        "tilde_ge_beta": t[beta_tilde < beta - tol],
+        "tilde_window": t[:-1][beta_tilde[:-1] > window],
     }
-    capped = []
-    prev = None
-    for k, rec in enumerate(trace.rounds):
-        share = rec.gamma / rec.n_active
-        if formula and schedule.gamma_coeff * rec.n_active * rec.beta >= 0.5:
-            capped.append(rec.t)
-        if rec.eta > rec.beta + tol:
-            out["eta_le_beta"].append(rec.t)
-        if rec.beta > share + tol:
-            out["beta_le_gamma_share"].append(rec.t)
-        if rec.eta * (1.0 + rec.beta * cc) > share + tol:
-            out["product_clause"].append(rec.t)
-        if prev is not None and rec.beta_tilde > prev.beta_tilde + tol:
-            out["tilde_nonincreasing"].append(rec.t)
-        if rec.beta_tilde < rec.beta - tol:
-            out["tilde_ge_beta"].append(rec.t)
-        if k + 1 < len(trace.rounds):
-            nxt = trace.rounds[k + 1]
-            if rec.beta_tilde > 1.0 / nxt.beta - 1.0 / rec.beta + tol:
-                out["tilde_window"].append(rec.t)
-        prev = rec
-    return AssumptionReport(violations=out, gamma_capped=capped)
+    capped = (t[schedule.gamma_coeff * n_active * beta >= 0.5]
+              if schedule.override is None else t[:0])
+    return AssumptionReport(
+        violations={k: v.tolist() for k, v in out.items()},
+        gamma_capped=capped.tolist())

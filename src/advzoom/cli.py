@@ -73,8 +73,8 @@ class ExperimentConfig:
                              "or rounds (anytime)")
         space_kind = cfg.space.get("kind")
         if space_kind == "cube":
-            extra = set(cfg.space) - {"kind", "d"}
-            if extra or int(cfg.space.get("d", 0)) < 1:
+            d = cfg.space.get("d")
+            if set(cfg.space) - {"kind", "d"} or type(d) is not int or d < 1:
                 raise ValueError(f"bad space spec: {cfg.space}")
         elif space_kind == "finite":
             if set(cfg.space) != {"kind", "path"}:
@@ -94,6 +94,13 @@ class ExperimentConfig:
                 and all(type(s) is int for s in cfg.seeds)):  # no bools
             raise ValueError(f"config.seeds must be a non-empty list of "
                              f"ints, got {cfg.seeds!r}")
+        if not all(0 <= s < 2**64 for s in cfg.seeds):  # stream keys' range
+            raise ValueError(f"config.seeds must lie in [0, 2**64), "
+                             f"got {cfg.seeds!r}")
+        for key in ("record_pi", "debug_invariants", "emit_curves"):
+            if type(getattr(cfg, key)) is not bool:
+                raise ValueError(f"config.{key} must be true or false, "
+                                 f"got {getattr(cfg, key)!r}")
         if cfg.repr_policy not in (None, *REPR_POLICIES):
             raise ValueError(f"config.repr_policy must be one of "
                              f"{REPR_POLICIES}, got {cfg.repr_policy!r}")
@@ -128,7 +135,7 @@ class ExperimentConfig:
     @property
     def dim(self) -> int:
         """Dimension of the arm space: the cube's d, or 1 for a finite space."""
-        return int(self.space["d"]) if self.space["kind"] == "cube" else 1
+        return self.space["d"] if self.space["kind"] == "cube" else 1
 
     def effective_repr_policy(self) -> str:
         if self.repr_policy is not None:
@@ -154,7 +161,7 @@ def _write_json(path, obj) -> None:
 
 def _space_of(cfg: ExperimentConfig):
     if cfg.space["kind"] == "cube":
-        return int(cfg.space["d"])
+        return cfg.space["d"]
     return FiniteMetricSpace.from_file(cfg.space["path"])
 
 

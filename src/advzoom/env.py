@@ -30,6 +30,10 @@ NOISE_KINDS = ("bernoulli", "none", "gauss")
 _DIM_SALT = np.uint64(0xA5A5A5A5A5A5A5A5)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def arm_counter(xs) -> np.ndarray:
     """Quantize arms to the 2**-40 grid and fold dimensions into one counter."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
@@ -79,6 +83,11 @@ class MeanFunction:
                 raise ValueError(
                     f"need 0 <= baseline <= peak <= 1, got {base}, {peak}"
                 )
+            sup = p.get("support", (0.0, 1.0))
+            if not (isinstance(sup, (tuple, list)) and len(sup) == 2
+                    and all(map(_is_number, sup)) and sup[0] < sup[1]):
+                raise ValueError(f"support must be two numbers lo < hi, "
+                                 f"got {sup!r}")
 
     @property
     def d(self) -> int:
@@ -120,7 +129,7 @@ class MeanFunction:
 
 
 # --------------------------------------------------------------------------
-# Stochastic instances
+# Stochastic and combined adversarial instances
 # --------------------------------------------------------------------------
 
 
@@ -197,8 +206,7 @@ class RewardTable:
         if env.kind == "pricing":
             self.par = pts[:, :1]  # prices
             return
-        means = env.means if env.kind == "combined" else [env.mean]
-        par = np.stack([np.atleast_1d(m(pts)) for m in means], axis=1)
+        par = np.stack([np.atleast_1d(m(pts)) for m in env.means], axis=1)
         if env.noise == "bernoulli":
             par = np.ceil(par * 2.0 ** 53).astype(np.uint64)
         self.par = par  # (n, instances)
@@ -212,7 +220,7 @@ class RewardTable:
             return env.value(ts), None
         r = (None if env.noise == "none" else
              splitmix64(env._key ^ splitmix64(ts.astype(np.uint64))))
-        return r, (env.schedule[ts - 1] if env.kind == "combined" else None)
+        return r, (None if env.schedule is None else env.schedule[ts - 1])
 
     def fill(self, rounds, lo: int, hi: int, out, tmp):
         """Rewards of arms lo:hi into out, float64 of shape (hi - lo, rounds),
@@ -248,50 +256,22 @@ class RewardTable:
                          np.empty(shape, dtype=np.uint64))
 
 
-class StochasticEnv:
-    """I.i.d. rewards: g_t(x) has mean mu(x) every round."""
-
-    kind = "stochastic"
-
-    def __init__(self, mean: MeanFunction, noise: str = "bernoulli",
-                 noise_scale: float = 0.1, seed: int = 0):
-        self.mean = mean
-        self.noise = _checked_noise(noise)
-        self.noise_scale = _checked_scale(noise_scale)
-        self.d = mean.d
-        self._key = stream_key(seed, "env.noise")
-        self._arms = {}  # tuple arm -> RewardTable row, see _single_reward
-
-    def mean_at(self, t: int, xs) -> np.ndarray:
-        return self.mean(xs)
-
-    def reward(self, t: int, arm) -> float:
-        return _single_reward(self, 0, t, arm)
-
-    def reward_block(self, ts, xs) -> np.ndarray:
-        """Rewards for arms x rows, rounds t columns: shape (len(xs), len(ts))."""
-        return RewardTable(self, xs).block(ts)
-
-
-# --------------------------------------------------------------------------
-# Combined adversarial instances
-# --------------------------------------------------------------------------
-
-
 class CombinedEnv:
     """Rounds pre-assigned to one of M stochastic instances.
 
     The assignment (schedule) is fixed before round 1 and can be arbitrary;
-    validation of the structural assumptions lives in make_combined.
+    validation of the structural assumptions lives in make_combined.  No
+    schedule means instance 0 on every round: a stochastic instance.
     """
 
     kind = "combined"
 
-    def __init__(self, means: list, schedule: np.ndarray,
+    def __init__(self, means: list, schedule: Optional[np.ndarray] = None,
                  noise: str = "bernoulli", noise_scale: float = 0.1,
                  seed: int = 0):
         self.means = means
-        self.schedule = np.asarray(schedule, dtype=np.int64)
+        self.schedule = (None if schedule is None
+                         else np.asarray(schedule, dtype=np.int64))
         self.noise = _checked_noise(noise)
         self.noise_scale = _checked_scale(noise_scale)
         self.d = means[0].d
@@ -299,7 +279,7 @@ class CombinedEnv:
         self._arms = {}  # tuple arm -> RewardTable row, see _single_reward
 
     def instance_of_round(self, t: int) -> int:
-        return int(self.schedule[t - 1])
+        return 0 if self.schedule is None else int(self.schedule[t - 1])
 
     def mean_at(self, t: int, xs) -> np.ndarray:
         return self.means[self.instance_of_round(t)](xs)
@@ -308,7 +288,23 @@ class CombinedEnv:
         return _single_reward(self, self.instance_of_round(t), t, arm)
 
     def reward_block(self, ts, xs) -> np.ndarray:
+        """Rewards for arms x rows, rounds t columns: shape (len(xs), len(ts))."""
         return RewardTable(self, xs).block(ts)
+
+
+class StochasticEnv(CombinedEnv):
+    """I.i.d. rewards: g_t(x) has mean mu(x) every round, a combined
+    instance with one instance and no schedule."""
+
+    kind = "stochastic"
+
+    def __init__(self, mean: MeanFunction, noise: str = "bernoulli",
+                 noise_scale: float = 0.1, seed: int = 0):
+        super().__init__([mean], None, noise, noise_scale, seed)
+
+    # own entries: perfbench wraps vars(cls)[name] for each of ENV_CLASSES
+    reward = CombinedEnv.reward
+    reward_block = CombinedEnv.reward_block
 
 
 MIN_SPREAD = 1.0 / 3.0
@@ -408,7 +404,8 @@ def _value_law(kind: str, params: dict):
     on [b, hi] are rejected.
     """
     if kind == "uniform":
-        a, b = float(params.get("a", 0.0)), float(params.get("b", 1.0))
+        a = float(_number(params, "a", 0.0, "env.values"))
+        b = float(_number(params, "b", 1.0, "env.values"))
         if not (0.0 <= a <= b <= 1.0):
             raise ValueError(f"non-monotone CDF: uniform needs 0 <= a <= b <= 1")
 
@@ -420,7 +417,8 @@ def _value_law(kind: str, params: dict):
         return (lambda u: a + u * (b - a)), revenue
     if kind != "target":
         raise ValueError(f"unknown value distribution {kind!r}")
-    a, b = float(params["a"]), float(params["b"])
+    a = float(_number(params, "a", None, "env.values"))
+    b = float(_number(params, "b", None, "env.values"))
     _, hi = params.get("support", (b, min(1.0, a + b)))
     if not (0.0 < a <= b <= 1.0):
         raise ValueError(f"non-monotone CDF: need 0 < a <= b <= 1, got a={a} b={b}")
@@ -547,7 +545,7 @@ def _take(spec: dict, allowed: set, where: str) -> None:
 def _number(spec: dict, key: str, default, where: str):
     """spec[key], or default when absent, which must be an int or a float."""
     v = spec.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ValueError(f"{where}.{key} must be a number, got {v!r}")
     return v
 
@@ -567,7 +565,11 @@ def _mean_from_spec(spec: dict, where: str = "env") -> MeanFunction:
     _take(spec, {"kind", "target", "peak", "baseline", "support"}, where)
     params = {}
     if kind == "distance_to_target":
-        params["target"] = spec.get("target", 0.6180339887498949)
+        target = params["target"] = spec.get("target", 0.6180339887498949)
+        if not (_is_number(target) or isinstance(target, list) and target
+                and all(map(_is_number, target))):
+            raise ValueError(f"{where}.target must be a number or a list of "
+                             f"numbers, got {target!r}")
         params["peak"] = _number(spec, "peak", 0.8, where)
         params["baseline"] = _number(spec, "baseline", 0.0, where)
     elif kind in ("concave", "baseline_bump"):
@@ -576,7 +578,7 @@ def _mean_from_spec(spec: dict, where: str = "env") -> MeanFunction:
     else:
         raise ValueError(f"unknown environment kind {kind!r} in {where}")
     if "support" in spec:
-        params["support"] = tuple(spec["support"])
+        params["support"] = spec["support"]
     return MeanFunction(kind, params)
 
 

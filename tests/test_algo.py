@@ -593,6 +593,102 @@ def test_assumptions_tuned_late_rounds_clean():
         assert not late & set(rep.violations[clause]), clause
 
 
+def assumptions_reference(schedule, trace):
+    """check_assumptions as a loop over the records, one clause at a time:
+    the reference for its column-wise form."""
+    tol = 1e-12
+    cc = schedule.conf_coeff
+    formula = schedule.override is None
+    out = {
+        "eta_le_beta": [],
+        "beta_le_gamma_share": [],
+        "product_clause": [],
+        "tilde_nonincreasing": [],
+        "tilde_ge_beta": [],
+        "tilde_window": [],
+    }
+    capped = []
+    prev = None
+    for k, rec in enumerate(trace.rounds):
+        share = rec.gamma / rec.n_active
+        if formula and schedule.gamma_coeff * rec.n_active * rec.beta >= 0.5:
+            capped.append(rec.t)
+        if rec.eta > rec.beta + tol:
+            out["eta_le_beta"].append(rec.t)
+        if rec.beta > share + tol:
+            out["beta_le_gamma_share"].append(rec.t)
+        if rec.eta * (1.0 + rec.beta * cc) > share + tol:
+            out["product_clause"].append(rec.t)
+        if prev is not None and rec.beta_tilde > prev.beta_tilde + tol:
+            out["tilde_nonincreasing"].append(rec.t)
+        if rec.beta_tilde < rec.beta - tol:
+            out["tilde_ge_beta"].append(rec.t)
+        if k + 1 < len(trace.rounds):
+            nxt = trace.rounds[k + 1]
+            if rec.beta_tilde > 1.0 / nxt.beta - 1.0 / rec.beta + tol:
+                out["tilde_window"].append(rec.t)
+        prev = rec
+    return algo.AssumptionReport(violations=out, gamma_capped=capped)
+
+
+def audited_runs(case):
+    """(schedule, trace) pairs of one kind of run, for the audit check."""
+    env = StochasticEnv(tent_mean(), seed=3)
+    if case in ("0", "1", "2"):
+        st = fresh(T=16, seed=3)
+        return [(st.schedule, algo.run(st, env, rounds=int(case)))]
+    if case in ("4096", "4096_c1_32"):
+        st = algo.init(1, 4096, AlgoConfig(
+            seed=3, record_state=False,
+            coeff_scale=1 / 32 if case == "4096_c1_32" else 1.0))
+        return [(st.schedule, algo.run(st, env))]
+    if case == "override":  # beta_tilde above beta, then below it
+        pairs = []
+        for ov in (ParamValues(0.2, 0.3, 0.4, 0.25),
+                   ParamValues(0.3, 0.2, 0.5, 0.35)):
+            st = fresh(T=256, seed=3, param_override=ov)
+            pairs.append((st.schedule, algo.run(st, env)))
+        return pairs
+    if case == "exp3p":
+        from advzoom.baselines import Exp3PState, uniform_grid
+        st = Exp3PState(uniform_grid(1, 1 / 8), 512, seed=3)
+        return [(st.schedule, algo.run(st, env))]
+    if case == "dag":
+        x = np.linspace(0.0, 1.0, 9)
+        st = algo.init(FiniteMetricSpace(x.tolist(), np.abs(x[:, None] - x)),
+                       512, AlgoConfig(seed=3))
+        return [(st.schedule, algo.run(st, env))]
+    from advzoom.cli import _merge_anytime
+    phases = algo.run_anytime(1, AlgoConfig(seed=3), 300, env)
+    return [(algo.ParamSchedule(tr.T, tr.n_dbl, tr.d), tr)
+            for tr in [*phases, _merge_anytime(phases)]]
+
+
+@pytest.mark.parametrize("case", ["0", "1", "2", "4096", "4096_c1_32",
+                                  "override", "exp3p", "dag", "anytime"])
+def test_check_assumptions_equals_the_record_loop(case):
+    for schedule, trace in audited_runs(case):
+        want = assumptions_reference(schedule, trace)
+        assert algo.check_assumptions(schedule, trace) == want
+        rounds = sum(want.violations.values(), want.gamma_capped)
+        assert all(type(t) is int for t in rounds)
+        assert bool(rounds) == (trace.n_rounds > 0)
+
+
+def test_check_assumptions_raises_on_a_zero_beta():
+    # only a constant override reaches beta = 0; 1/beta has no value there
+    ov = ParamValues(0.0, 0.0, 0.5, 0.0)
+    st = fresh(T=2, param_override=ov, zoom_enabled=False)
+    tr = algo.run(st, ConstEnv(0.4))
+    with pytest.raises(ZeroDivisionError):
+        assumptions_reference(st.schedule, tr)
+    with pytest.raises(ArithmeticError):
+        algo.check_assumptions(st.schedule, tr)
+    tr.rounds.pop()  # one round has no window clause, so nothing divides
+    assert algo.check_assumptions(st.schedule, tr) == \
+        assumptions_reference(st.schedule, tr)
+
+
 # -- schedule coefficient scale ----------------------------------------------
 
 # SHA-256 of the trace CSV of the seed-5 tent run at T=512 under the paper's

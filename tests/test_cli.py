@@ -390,6 +390,21 @@ PRICING_A_GT_B = {"kind": "pricing", "values": {"kind": "uniform", "a": 0.9,
      "env.noise_scale must be a number, got '0.1'"),
     ("run", dict(EXP3P, baseline={"grid_eps": "0.5"}), [],
      "grid eps must be in (0, 1], got '0.5'"),
+    ("run", {"env": {"kind": "concave", "support": [0.2]}}, [],
+     "support must be two numbers lo < hi, got [0.2]"),
+    ("run", {"env": {"kind": "concave", "support": "ab"}}, [],
+     "support must be two numbers lo < hi, got 'ab'"),
+    ("run", {"env": {"kind": "distance_to_target", "target": "0.5"}}, [],
+     "env.target must be a number or a list of numbers, got '0.5'"),
+    ("run", {"env": {"kind": "pricing", "values": {"a": "0.1"}}}, [],
+     "env.values.a must be a number, got '0.1'"),
+    ("run", {"space": {"kind": "cube", "d": "1"}}, [], "bad space spec"),
+    ("run", {"space": {"kind": "cube", "d": 1.5}}, [], "bad space spec"),
+    ("run", {"record_pi": "no"}, [],
+     "config.record_pi must be true or false, got 'no'"),
+    ("run", {"seeds": [2**70]}, [],
+     f"seeds must lie in [0, 2**64), got [{2**70}]"),
+    ("run", {"seeds": [-1]}, [], "seeds must lie in [0, 2**64), got [-1]"),
 ])
 def test_bad_config_exits_2_with_nothing_written(
         tmp_path, monkeypatch, capsys, verb, over, flags, reason):

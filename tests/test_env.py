@@ -279,10 +279,29 @@ def test_bernoulli_threshold_equals_the_float_rule_at_its_edges(
     monkeypatch.setattr(env_module, "splitmix64", placing)
     env = StochasticEnv(MeanFunction("custom_table",
                                      {"xs": [0, 1], "ys": [mu, mu]}), seed=0)
-    assert env.mean(0.5) == mu
+    assert env.means[0](0.5) == mu
     got = env.reward_block(np.arange(1, len(placed) + 1), [[0.5]])[0]
     want = [1.0 if (int(h) >> 11) * 2.0 ** -53 < mu else 0.0 for h in placed]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("noise", NOISE_KINDS)
+def test_one_instance_combined_env_is_the_stochastic_env(noise, d):
+    mean = tent_mean(target=[0.618, 0.382][:d])
+    one = CombinedEnv([mean], None, noise=noise, noise_scale=0.2, seed=5)
+    env = StochasticEnv(mean, noise=noise, noise_scale=0.2, seed=5)
+    ts = np.array([1, 7, 3, 7, 200, 64])
+    arms = np.random.default_rng(2).random((9, d))
+    assert one.reward_block(ts, arms).tobytes() == \
+        env.reward_block(ts, arms).tobytes()
+    for t in ts.tolist():
+        assert one.mean_at(t, arms).tobytes() == env.mean_at(t, arms).tobytes()
+        for arm in arms:
+            arm = tuple(arm.tolist())
+            assert one.reward(t, arm).hex() == env.reward(t, arm).hex()
+    # the benchmark's per-class wrappers need the class's own entries
+    assert {"reward", "reward_block"} <= set(vars(StochasticEnv))
 
 
 def _every_env_kind():
@@ -526,7 +545,7 @@ def test_env_from_spec_kinds(tmp_path):
     csv_path.write_text("0.0,0.3\n1.0,0.7\n")
     env = env_from_spec({"kind": "custom_table", "path": str(csv_path)},
                         T=8, seed=0)
-    assert env.mean(0.5) == pytest.approx(0.5)
+    assert env.means[0](0.5) == pytest.approx(0.5)
     with pytest.raises(ValueError, match="unknown keys"):
         env_from_spec({"kind": "distance_to_target", "sigma": 1}, T=8, seed=0)
     with pytest.raises(ValueError, match="kind"):
