@@ -377,8 +377,8 @@ def step(state: AlgState, env) -> RoundRecord:
     snap_ids = snap_pi = snap_ghat = None
     if state.config.record_state:
         snap_ids = state.ids  # a tuple, rebuilt only by zoom_in
-        snap_pi = pi.copy()
-        snap_ghat = state.g_hat.copy()
+        snap_pi = pi  # never written after it is drawn
+        snap_ghat = state.g_hat.copy()  # update adds into g_hat in place
 
     zoomed = []
     if state.config.zoom_enabled:
@@ -470,7 +470,7 @@ class AssumptionReport:
     its 1/2 cap on every round up to at least T = 2^18, and on seed 0 at
     T = 2^10 the product clause fails on about a quarter of the rounds.
     `gamma_capped` lists the rounds on which gamma_t was at that cap; it is
-    not a clause and does not count towards `ok` or `total`.
+    not a clause and does not count towards `ok`.
     """
 
     violations: dict  # clause name -> list of rounds
@@ -479,9 +479,6 @@ class AssumptionReport:
     @property
     def ok(self) -> bool:
         return not any(self.violations.values())
-
-    def total(self) -> int:
-        return sum(len(v) for v in self.violations.values())
 
 
 def check_assumptions(schedule: ParamSchedule, trace: Trace) -> AssumptionReport:

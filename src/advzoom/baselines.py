@@ -65,9 +65,8 @@ def exp3p_step(state: Exp3PState, env) -> RoundRecord:
     return algo.step(state, env)
 
 
-def exp3p_run(arms, T: int, env, seed: int = 0,
-              record_state: bool = False) -> Trace:
-    state = Exp3PState(arms, T, seed=seed, record_state=record_state)
+def exp3p_run(arms, T: int, env, seed: int = 0) -> Trace:
+    state = Exp3PState(arms, T, seed=seed)
     while state.t <= T:
         exp3p_step(state, env)
     return state.trace

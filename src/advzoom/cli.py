@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -77,7 +78,8 @@ class ExperimentConfig:
             if set(cfg.space) - {"kind", "d"} or type(d) is not int or d < 1:
                 raise ValueError(f"bad space spec: {cfg.space}")
         elif space_kind == "finite":
-            if set(cfg.space) != {"kind", "path"}:
+            if (set(cfg.space) != {"kind", "path"}
+                    or not isinstance(cfg.space["path"], str)):  # 0 is stdin
                 raise ValueError(f"bad space spec: {cfg.space}")
             FiniteMetricSpace.from_file(cfg.space["path"])
         else:
@@ -114,6 +116,13 @@ class ExperimentConfig:
                              "is unmonitored, has no restarts, plays a grid")
         # the grid and horizon first: a combined env's schedule is T long
         evaluate.grid_eps_for(cfg.dim, cfg.horizon, cfg.grid_eps)
+        eps = cfg.baseline.get("grid_eps")
+        if eps is not None and not (  # 1/eps is finite from 1/MAX_EVALS on
+                1.0 / eps <= evaluate.MAX_EVALS and math.ceil(1.0 / eps)
+                ** cfg.dim * cfg.horizon <= evaluate.MAX_EVALS):
+            raise ValueError(f"baseline.grid_eps={eps!r} at d={cfg.dim}, "
+                             f"T={cfg.horizon}: its arms x T rounds exceed "
+                             f"evaluate.MAX_EVALS={evaluate.MAX_EVALS}")
         env_d = env_from_spec(cfg.env, cfg.horizon, cfg.seeds[0]).d
         if env_d != cfg.dim:
             raise ValueError(f"env d={env_d} differs from the space's {cfg.dim}")
@@ -210,8 +219,7 @@ def run_one_seed(cfg: ExperimentConfig, seed: int):
         if eps is None:
             eps = baselines.default_grid_eps(cfg.horizon, cfg.dim)
         arms = baselines.uniform_grid(cfg.dim, eps)
-        trace = baselines.exp3p_run(arms, cfg.horizon, environment, seed=seed,
-                                    record_state=cfg.record_pi)
+        trace = baselines.exp3p_run(arms, cfg.horizon, environment, seed=seed)
         return trace, environment, [trace]
     acfg = algo.AlgoConfig(
         seed=seed,
@@ -249,7 +257,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
     artifacts = []
     for seed in cfg.seeds:
         trace, environment, monitor_traces = run_one_seed(cfg, seed)
-        T = trace.n_rounds
         trace_path = os.path.join(out_dir, f"trace_seed{seed}.csv")
         trace.write_csv(trace_path)
         rep = evaluate.regret(trace, environment, grid_eps=grid_eps)
@@ -261,14 +268,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         artifacts += [trace_path, reg_path, inv_path]
         if cfg.emit_curves:
             curve_path = os.path.join(out_dir, f"curves_seed{seed}.csv")
-            write_curves_csv(
-                curve_path,
-                np.arange(1, T + 1),
-                rep.cum_alg,
-                rep.cum_best,
-                rep.regret_curve,
-                trace.n_active_curve(),
-            )
+            write_curves_csv(curve_path, rep.cum_alg, rep.cum_best,
+                             rep.regret_curve, trace.n_active_curve())
             artifacts.append(curve_path)
         regrets.append(rep.regret)
         total_violations += len(inv["violations"])
@@ -312,7 +313,8 @@ def sweep_horizons(cfg: ExperimentConfig, horizons: list, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     per_T = []
     for T, eps in zip(horizons, grid_eps):
-        cfg_T = replace(cfg, T=int(T), rounds=None)
+        # no invariant report here, so no snapshots for a monitor to read
+        cfg_T = replace(cfg, T=int(T), rounds=None, record_pi=False)
         regs = []
         for seed in cfg.seeds:
             trace, environment, _ = run_one_seed(cfg_T, seed)
@@ -357,7 +359,7 @@ def cover_fit(cfg: ExperimentConfig, out_dir,
     grid = evaluate.grid_points(d, evaluate.grid_eps_for(d, T, cfg.grid_eps))
     os.makedirs(out_dir, exist_ok=True)
     environment = env_from_spec(cfg.env, T, cfg.seeds[0])
-    masks = evaluate.eps_optimal_set(environment, grid, ladder, d, 2**d, T)
+    masks = evaluate.eps_optimal_set(environment, grid, ladder, T)
     counts = [evaluate.covering_count(grid[mask], eps)
               for eps, mask in zip(ladder, masks)]
     usable = [(e, c) for e, c in zip(ladder, counts) if c > 0]
@@ -452,7 +454,3 @@ def main(argv=None) -> int:
     print(json.dumps(report, indent=1, sort_keys=True))
     return int(args.verb == "run" and cfg.debug_invariants
                and report["violations"] > 0)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

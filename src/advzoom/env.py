@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,7 +32,17 @@ _DIM_SALT = np.uint64(0xA5A5A5A5A5A5A5A5)
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite int or float that converts to a float, and not a bool."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _interval(v, where: str):
+    """v, which must be two numbers lo < hi, as a list or a tuple."""
+    if not (isinstance(v, (tuple, list)) and len(v) == 2
+            and all(map(_is_number, v)) and v[0] < v[1]):
+        raise ValueError(f"{where} must be two numbers lo < hi, got {v!r}")
+    return v
 
 
 def arm_counter(xs) -> np.ndarray:
@@ -73,9 +84,9 @@ class MeanFunction:
         if self.kind == "custom_table":
             xs = np.asarray(p["xs"], dtype=np.float64)
             ys = np.asarray(p["ys"], dtype=np.float64)
-            if len(xs) < 2 or np.any(np.diff(xs) <= 0):
+            if len(xs) < 2 or not np.all(np.diff(xs) > 0):  # nan fails too
                 raise ValueError("custom_table needs strictly increasing xs")
-            if ys.min() < 0 or ys.max() > 1:
+            if not (ys.min() >= 0 and ys.max() <= 1):
                 raise ValueError("custom_table means outside [0,1]")
         else:
             peak, base = p["peak"], p.get("baseline", 0.0)
@@ -83,11 +94,7 @@ class MeanFunction:
                 raise ValueError(
                     f"need 0 <= baseline <= peak <= 1, got {base}, {peak}"
                 )
-            sup = p.get("support", (0.0, 1.0))
-            if not (isinstance(sup, (tuple, list)) and len(sup) == 2
-                    and all(map(_is_number, sup)) and sup[0] < sup[1]):
-                raise ValueError(f"support must be two numbers lo < hi, "
-                                 f"got {sup!r}")
+            _interval(p.get("support", (0.0, 1.0)), "support")
 
     @property
     def d(self) -> int:
@@ -330,7 +337,11 @@ def make_combined(means: list, schedule, subsets: list, baselines: list,
     M = len(means)
     if not (len(subsets) == len(baselines) == M):
         raise ValueError("need one subset and one baseline per instance")
-    if isinstance(schedule, (list, tuple)):
+    if isinstance(schedule, (list, tuple)):  # phases: no huge array first
+        lengths = [int(n) for _, n in schedule]
+        if min(lengths, default=0) < 0 or sum(lengths) != T:
+            raise ValueError(f"schedule total on [T] fails: phase lengths "
+                             f"{lengths} for T={T}")
         schedule = phase_schedule(schedule)
     schedule = np.asarray(schedule, dtype=np.int64)
     if len(schedule) != T:
@@ -404,6 +415,7 @@ def _value_law(kind: str, params: dict):
     on [b, hi] are rejected.
     """
     if kind == "uniform":
+        _take(params, {"a", "b"}, "env.values")
         a = float(_number(params, "a", 0.0, "env.values"))
         b = float(_number(params, "b", 1.0, "env.values"))
         if not (0.0 <= a <= b <= 1.0):
@@ -419,7 +431,8 @@ def _value_law(kind: str, params: dict):
         raise ValueError(f"unknown value distribution {kind!r}")
     a = float(_number(params, "a", None, "env.values"))
     b = float(_number(params, "b", None, "env.values"))
-    _, hi = params.get("support", (b, min(1.0, a + b)))
+    _, hi = (_interval(params["support"], "env.values.support")
+             if "support" in params else (b, min(1.0, a + b)))
     if not (0.0 < a <= b <= 1.0):
         raise ValueError(f"non-monotone CDF: need 0 < a <= b <= 1, got a={a} b={b}")
     if hi > a + b + 1e-12 or hi > 1.0 or hi < b:
@@ -537,30 +550,52 @@ def lipschitz_audit(env, T: int, pairs: int = 200, seed: int = 0,
 
 
 def _take(spec: dict, allowed: set, where: str) -> None:
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where} must be an object, got {spec!r}")
     unknown = set(spec) - allowed
     if unknown:
         raise ValueError(f"unknown keys {sorted(unknown)} in {where}")
 
 
-def _number(spec: dict, key: str, default, where: str):
-    """spec[key], or default when absent, which must be an int or a float."""
-    v = spec.get(key, default)
+def _checked_number(v, where: str):
     if not _is_number(v):
-        raise ValueError(f"{where}.{key} must be a number, got {v!r}")
+        raise ValueError(f"{where} must be a number, got {v!r}")
     return v
 
 
+def _number(spec: dict, key: str, default, where: str):
+    """spec[key], or default when absent, which must be a finite number."""
+    return _checked_number(spec.get(key, default), f"{where}.{key}")
+
+
+def _int_list(v, n=None) -> bool:
+    """Whether v is a list of ints (bools excluded), of length n if given."""
+    return (isinstance(v, list) and all(type(x) is int for x in v)
+            and n in (None, len(v)))
+
+
 def _mean_from_spec(spec: dict, where: str = "env") -> MeanFunction:
-    kind = spec.get("kind")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "custom_table":
         _take(spec, {"kind", "points", "path"}, where)
+        if ("path" in spec) == ("points" in spec):
+            raise ValueError(f"{where} takes points or path, one of the two")
         if "path" in spec:
+            if not isinstance(spec["path"], str):
+                raise ValueError(f"{where}.path must be a string, "
+                                 f"got {spec['path']!r}")
             with open(spec["path"]) as f:
-                pts = [(float(r[0]), float(r[1])) for r in csv.reader(f) if r]
+                pts = [(float(x), float(y))
+                       for x, y in filter(None, csv.reader(f))]
         else:
-            pts = [(float(x), float(y)) for x, y in spec["points"]]
-        xs = [p[0] for p in pts]
-        ys = [p[1] for p in pts]
+            pts = spec["points"]
+            if not (isinstance(pts, list) and all(
+                    isinstance(p, list) and len(p) == 2
+                    and all(map(_is_number, p)) for p in pts)):
+                raise ValueError(f"{where}.points must be a list of [x, mu] "
+                                 f"number pairs, got {pts!r}")
+        xs = [float(p[0]) for p in pts]
+        ys = [float(p[1]) for p in pts]
         return MeanFunction("custom_table", {"xs": xs, "ys": ys})
     _take(spec, {"kind", "target", "peak", "baseline", "support"}, where)
     params = {}
@@ -589,10 +624,10 @@ def env_from_spec(spec: dict, T: int, seed: int):
         raise ValueError("environment spec needs a 'kind'")
     if kind == "pricing":
         _take(spec, {"kind", "values"}, "env")
-        values = dict(spec.get("values", {"kind": "uniform"}))
-        vkind = values.pop("kind", "uniform")
-        _take(values, {"a", "b", "support"}, "env.values")
-        return PricingEnv(vkind, values, seed=seed)
+        values = spec.get("values", {"kind": "uniform"})
+        _take(values, {"kind", "a", "b", "support"}, "env.values")
+        params = {k: v for k, v in values.items() if k != "kind"}
+        return PricingEnv(values.get("kind", "uniform"), params, seed=seed)
     noise = _checked_noise(spec.get("noise", "bernoulli"))
     if "noise_scale" in spec and noise != "gauss":
         raise ValueError(f"noise_scale needs \"noise\": \"gauss\", "
@@ -607,10 +642,22 @@ def env_from_spec(spec: dict, T: int, seed: int):
                                  f"got {spec.get(key)!r}")
         means = [_mean_from_spec(s, f"env.instances[{i}]")
                  for i, s in enumerate(spec["instances"])]
-        sched = spec.get("schedule") or {}
+        subsets = [_interval(s, f"env.subsets[{i}]")
+                   for i, s in enumerate(spec["subsets"])]
+        baselines = [_checked_number(b, f"env.baselines[{i}]")
+                     for i, b in enumerate(spec["baselines"])]
+        sched = spec.get("schedule", {})
         _take(sched, {"phases", "per_round"}, "env.schedule")
         if len(sched) > 1:
             raise ValueError("env.schedule takes phases or per_round, not both")
+        phases = sched.get("phases", [])
+        if not (isinstance(phases, list) and all(_int_list(p, 2)
+                                                 for p in phases)):
+            raise ValueError(f"env.schedule.phases must be a list of "
+                             f"[instance, length] int pairs, got {phases!r}")
+        if not _int_list(sched.get("per_round", [])):
+            raise ValueError(f"env.schedule.per_round must be a list of ints, "
+                             f"got {sched['per_round']!r}")
         schedule = sched.get("phases")
         if "per_round" in sched:  # an array, so it is never read as phases
             schedule = np.asarray(sched["per_round"], dtype=np.int64)
@@ -619,9 +666,8 @@ def env_from_spec(spec: dict, T: int, seed: int):
             M = len(means)
             bounds = np.linspace(0, T, M + 1).astype(int)
             schedule = [(i, bounds[i + 1] - bounds[i]) for i in range(M)]
-        return make_combined(means, schedule, spec["subsets"],
-                             spec["baselines"], T=T, noise=noise,
-                             noise_scale=noise_scale, seed=seed)
+        return make_combined(means, schedule, subsets, baselines, T=T,
+                             noise=noise, noise_scale=noise_scale, seed=seed)
     mean = _mean_from_spec({k: v for k, v in spec.items()
                             if k not in ("noise", "noise_scale")})
     return StochasticEnv(mean, noise=noise, noise_scale=noise_scale, seed=seed)

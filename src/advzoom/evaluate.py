@@ -194,22 +194,23 @@ def eps_ladder_times(eps: float, T: int) -> list:
     return out
 
 
-def eps_optimal_set(env, grid: np.ndarray, eps_ladder, d: float, n_dbl: int,
-                    T: int) -> list:
+def eps_optimal_set(env, grid: np.ndarray, eps_ladder, T: int) -> list:
     """Boolean masks of inclusively eps-optimal grid arms, one per eps.
 
     An arm qualifies for eps if its adversarial gap drops below
     30 eps ln(T) sqrt(d ln(n_dbl T)) at some end-time on the geometric
-    ladder past eps^-2 / 9.  All ladders share one replay: the gaps are
-    taken once at the union of their end-times.
+    ladder past eps^-2 / 9, with d the grid's dimension and the cube's
+    doubling constant n_dbl = 2^d.  All ladders share one replay: the gaps
+    are taken once at the union of their end-times.
     """
+    d = grid.shape[1]
     ladders = [eps_ladder_times(eps, T) for eps in eps_ladder]
     ts = sorted(set().union(*ladders))
     gaps = gaps_at(env, grid, ts) if ts else np.zeros((len(grid), 0))
     col = {t: j for j, t in enumerate(ts)}
     masks = []
     for eps, times in zip(eps_ladder, ladders):
-        thr = 30.0 * eps * math.log(T) * math.sqrt(d * math.log(n_dbl * T))
+        thr = 30.0 * eps * math.log(T) * math.sqrt(d * math.log(2**d * T))
         masks.append((gaps[:, [col[t] for t in times]] < thr).any(axis=1))
     return masks
 

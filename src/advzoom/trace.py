@@ -133,15 +133,15 @@ class Trace:
                 )
 
 
-def write_curves_csv(path, t, cum_reward, cum_best, regret, n_active) -> None:
-    """Per-round curves: t, cum_reward, cum_best, regret, n_active."""
+def write_curves_csv(path, cum_reward, cum_best, regret, n_active) -> None:
+    """Per-round curves: t (from 1), cum_reward, cum_best, regret, n_active."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["t", "cum_reward", "cum_best", "regret", "n_active"])
-        for i in range(len(t)):
+        for i in range(len(cum_reward)):
             w.writerow(
                 [
-                    int(t[i]),
+                    i + 1,
                     repr(float(cum_reward[i])),
                     repr(float(cum_best[i])),
                     repr(float(regret[i])),

@@ -387,6 +387,25 @@ def test_step_records_increasing_t():
         algo.step(st, ConstEnv(0.5))
 
 
+def test_step_records_the_drawn_pi_itself(monkeypatch):
+    # nothing writes to pi after it is drawn, so the snapshot is that very
+    # array; update adds into G_hat in place, so its snapshot is a copy
+    drawn = []
+    distribution = algo.distribution
+
+    def kept(state, pv):
+        drawn.append(distribution(state, pv))
+        return drawn[-1]
+
+    monkeypatch.setattr(algo, "distribution", kept)
+    st = fresh(T=64, seed=2)
+    tr = algo.run(st, env_from_spec({"kind": "distance_to_target"}, 64, 2))
+    assert len(drawn) == len(tr.rounds) == 64
+    assert all(rec.pi is pi for rec, pi in zip(tr.rounds, drawn))
+    assert tr.rounds[-1].g_hat is not st.g_hat
+    assert evaluate.monitor(tr) == []
+
+
 def test_run_matches_naive_oracle_trace():
     env = StochasticEnv(tent_mean(), seed=11)
     st = algo.init(1, 200, AlgoConfig(seed=11))

@@ -1,15 +1,21 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import advzoom
 from advzoom import cli, evaluate
@@ -264,6 +270,32 @@ def test_sweep_report(tmp_path):
         cli.sweep_horizons(load_config(path), [128, 256], str(out))
 
 
+def test_sweep_keeps_no_snapshots_and_reports_the_same(tmp_path, monkeypatch):
+    # a sweep writes no invariant report, so no monitor reads snapshots
+    traces = []
+    run_one_seed = cli.run_one_seed
+
+    def kept(cfg, seed):
+        out = run_one_seed(cfg, seed)
+        traces.append(out[0])
+        return out
+
+    monkeypatch.setattr(cli, "run_one_seed", kept)
+    reports = {}
+    for record_pi in (True, False):
+        cfg = ExperimentConfig.from_dict(
+            base_config(seeds=[0, 1], record_pi=record_pi))
+        out = tmp_path / str(record_pi)
+        cli.sweep_horizons(cfg, [32, 64, 128], str(out))
+        reports[record_pi] = json.loads((out / "sweep.json").read_text())
+        # the report names the config it was given, record_pi included
+        assert reports[record_pi].pop("config_hash") == cfg.hash()
+    assert len(traces) == 12
+    assert all(r.pi is None and r.g_hat is None and r.active_ids is None
+               for tr in traces for r in tr.rounds)
+    assert reports[True] == reports[False]
+
+
 @pytest.mark.parametrize("d, T", [(1, 6 * 10**6), (2, 3 * 10**6),
                                   (1, 2 * 10**7)])
 def test_horizon_beyond_eval_guard_fails_fast(tmp_path, d, T):
@@ -320,6 +352,11 @@ EXP3P = {"algorithm": "exp3p_uniform"}
 FINITE_3 = {"kind": "finite", "path": "space3.txt"}
 PRICING_A_GT_B = {"kind": "pricing", "values": {"kind": "uniform", "a": 0.9,
                                                 "b": 0.2}}
+
+
+def pricing_target(**values):
+    return {"kind": "pricing",
+            "values": {"kind": "target", "a": 0.25, "b": 0.5, **values}}
 
 
 @pytest.mark.parametrize("verb, over, flags, reason", [
@@ -405,6 +442,69 @@ PRICING_A_GT_B = {"kind": "pricing", "values": {"kind": "uniform", "a": 0.9,
     ("run", {"seeds": [2**70]}, [],
      f"seeds must lie in [0, 2**64), got [{2**70}]"),
     ("run", {"seeds": [-1]}, [], "seeds must lie in [0, 2**64), got [-1]"),
+    ("run", {"env": {"kind": "pricing", "values": [1]}}, [],
+     "env.values must be an object, got [1]"),
+    ("run", {"env": pricing_target(support="ab")}, [],
+     "env.values.support must be two numbers lo < hi, got 'ab'"),
+    ("run", {"env": pricing_target(support=5)}, [],
+     "env.values.support must be two numbers lo < hi, got 5"),
+    ("run", {"env": dict(COMBINED, schedule=[[0, 8], [1, 8]])}, [],
+     "env.schedule must be an object, got [[0, 8], [1, 8]]"),
+    ("run", {"env": dict(COMBINED, instances=[5, 6])}, [],
+     "env.instances[0] must be an object, got 5"),
+    ("run", {"env": {"kind": "custom_table",
+                     "points": [["0", "0.3"], ["1", "0.7"]]}}, [],
+     "env.points must be a list of [x, mu] number pairs, got [['0', '0.3']"),
+    ("run", {"env": dict(COMBINED, baselines=["0.2", "0.2"])}, [],
+     "env.baselines[0] must be a number, got '0.2'"),
+    ("run", {"env": dict(COMBINED, subsets=[["0.1", "0.4"], ["0.6", "0.9"]])},
+     [], "env.subsets[0] must be two numbers lo < hi, got ['0.1', '0.4']"),
+    ("run", {"env": dict(COMBINED, schedule={"phases": [["0", 8], ["1", 8]]})},
+     [], "env.schedule.phases must be a list of [instance, length] int pairs"),
+    ("run", {"env": dict(COMBINED,
+                         schedule={"phases": [[False, 8], [True, 8]]})},
+     [], "env.schedule.phases must be a list of [instance, length] int pairs"),
+    ("run", {"env": dict(COMBINED, schedule={"phases": [[0, 8.9], [1, 8.1]]})},
+     [], "env.schedule.phases must be a list of [instance, length] int pairs"),
+    ("run", {"env": dict(COMBINED,
+                         schedule={"per_round": ["0"] * 8 + ["1"] * 8})},
+     [], "env.schedule.per_round must be a list of ints, got ['0', "),
+    ("run", {"env": dict(COMBINED,
+                         schedule={"per_round": [False] * 8 + [True] * 8})},
+     [], "env.schedule.per_round must be a list of ints, got [False, "),
+    ("run", {"env": dict(COMBINED,
+                         schedule={"per_round": [0.7] * 8 + [1.2] * 8})},
+     [], "env.schedule.per_round must be a list of ints, got [0.7, "),
+    ("run", {"space": {"kind": "finite", "path": 0}}, [],
+     "bad space spec: {'kind': 'finite', 'path': 0}"),
+    ("run", {"env": {"kind": "custom_table", "path": 0}}, [],
+     "env.path must be a string, got 0"),
+    ("run", {"env": {"kind": "custom_table", "path": None}}, [],
+     "env.path must be a string, got None"),
+    ("run", {"env": {"kind": "custom_table"}}, [],
+     "env takes points or path, one of the two"),
+    ("run", {"env": {"kind": "custom_table", "path": "bad.txt"}}, [],
+     "not enough values to unpack"),
+    ("run", {"env": pricing_target(support=[0.7, 0.6])}, [],
+     "env.values.support must be two numbers lo < hi, got [0.7, 0.6]"),
+    ("run", {"env": {"kind": "pricing", "values": {"support": [0.1, 0.9]}}},
+     [], "unknown keys ['support'] in env.values"),
+    ("run", {"env": dict(COMBINED, schedule=None)}, [],
+     "env.schedule must be an object, got None"),
+    ("run", {"env": dict(COMBINED, schedule={"phases": [[0, 10**13],
+                                                        [1, 16 - 10**13]]})},
+     [], "schedule total on [T] fails: phase lengths [10000000000000, "),
+    ("run", {"env": dict(COMBINED, baselines=[math.nan, 0.2])}, [],
+     "env.baselines[0] must be a number, got nan"),
+    ("run", {"env": {"kind": "distance_to_target", "target": math.nan}}, [],
+     "env.target must be a number or a list of numbers, got nan"),
+    ("run", {"env": {"kind": "pricing", "values": {"a": 10**400}}}, [],
+     "env.values.a must be a number, got 1000"),
+    ("run", dict(EXP3P, baseline={"grid_eps": 1e-300}), [],
+     "baseline.grid_eps=1e-300 at d=1, T=16: its arms x T rounds exceed"),
+    ("run", {"env": {"kind": "custom_table", "path": "space3.txt",
+                     "points": [[0, 0.3], [1, 0.7]]}}, [],
+     "env takes points or path, one of the two"),
 ])
 def test_bad_config_exits_2_with_nothing_written(
         tmp_path, monkeypatch, capsys, verb, over, flags, reason):
@@ -419,6 +519,90 @@ def test_bad_config_exits_2_with_nothing_written(
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and reason in err
     assert not out.exists()
+
+
+# valid configs that the property below mutates, one key or value at a time
+MUTATION_BASES = [
+    base_config(),
+    base_config(space={"kind": "cube", "d": 2}, env=TENT_D2),
+    base_config(env=dict(COMBINED, schedule={"phases": [[0, 8], [1, 8]]})),
+    base_config(env={"kind": "pricing",
+                     "values": {"kind": "uniform", "a": 0.1, "b": 0.9}}),
+    base_config(env={"kind": "pricing", "values": {
+        "kind": "target", "a": 0.25, "b": 0.5, "support": [0.5, 0.7]}}),
+    base_config(env={"kind": "custom_table", "points": [[0, 0.3], [1, 0.7]]}),
+    base_config(baseline={"grid_eps": 0.25}, **EXP3P),
+    base_config(space=FINITE_3),
+    {k: v for k, v in base_config(rounds=11).items() if k != "T"},
+]
+MUTATION_KEYS = sorted({f.name for f in fields(ExperimentConfig)}
+                       | {"kind", "d", "path", "target", "peak", "baseline",
+                          "support", "noise", "noise_scale", "points",
+                          "instances", "subsets", "baselines", "schedule",
+                          "phases", "per_round", "values", "a", "b", "zz"})
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 64), st.floats(),
+    st.text(alphabet="ab01.", max_size=3),
+    st.sampled_from(["space3.txt", "cube", "finite", "pricing", "uniform",
+                     "target", "combined", "gauss", "none", "center"]))
+JSON_VALUES = st.one_of(
+    JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from(MUTATION_KEYS), JSON_SCALARS, max_size=2))
+
+
+def json_paths(node, path=()):
+    """The path of every node below the root of a JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def json_at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@pytest.mark.parametrize("base", range(len(MUTATION_BASES)))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_mutated_config_runs_or_exits_2_with_nothing_written(base, data):
+    # one mutation: a node becomes another JSON value, or a key is deleted
+    # from an object, or a key is added to one
+    raw = copy.deepcopy(MUTATION_BASES[base])
+    # deepest first: a failing draw shrinks towards the front of the list
+    paths = sorted(json_paths(raw), key=len, reverse=True)
+    op = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if op == "add":
+        objects = [p for p in paths if isinstance(json_at(raw, p), dict)] + [()]
+        node = json_at(raw, data.draw(st.sampled_from(objects)))
+        node[data.draw(st.sampled_from(MUTATION_KEYS))] = data.draw(JSON_VALUES)
+    else:
+        if op == "delete":
+            paths = [p for p in paths if isinstance(json_at(raw, p[:-1]), dict)]
+        path = data.draw(st.sampled_from(paths))
+        if op == "delete":
+            del json_at(raw, path[:-1])[path[-1]]
+        else:
+            json_at(raw, path[:-1])[path[-1]] = data.draw(JSON_VALUES)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # finite-space and table paths are relative to it
+        try:
+            Path("space3.txt").write_text("3\n0 1 1\n1 0 1\n1 1 0\n")
+            Path("cfg.json").write_text(json.dumps(raw))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = cli.main(["run", "cfg.json", "--out", "o"])
+            assert rc in (0, 2), raw
+            if rc == 2:
+                assert err.getvalue().startswith("config error:"), raw
+                assert not os.path.exists("o"), raw
+        finally:
+            os.chdir(cwd)
 
 
 def test_cover_fit_refuses_a_bad_rung_before_its_directory(tmp_path):
@@ -503,6 +687,16 @@ def test_run_output_trees_are_pinned(tmp_path, name, over, flags):
     assert cli.main(["run", write_config(tmp_path, raw), "--out", str(out),
                      *flags]) == 0
     assert tree_sha256(out) == RUN_TREE_SHA256[name]
+
+
+def test_exp3p_run_keeps_no_snapshots():
+    # the monitor skips the fixed-arm baseline, so record_pi records nothing
+    cfg = ExperimentConfig.from_dict(base_config(T=64, record_pi=True,
+                                                 **EXP3P))
+    trace, _, monitor_traces = cli.run_one_seed(cfg, 0)
+    assert monitor_traces == [trace] and trace.n_rounds == 64
+    assert all(r.pi is None and r.g_hat is None and r.active_ids is None
+               for r in trace.rounds)
 
 
 def test_audit_verb(tmp_path):

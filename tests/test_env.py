@@ -241,10 +241,11 @@ def test_combined_schedule_has_one_parser():
     with pytest.raises(ValueError, match="not both"):
         schedule(phases=[[1, 10], [0, 54]], per_round=want)
     # the key picks the format: pairs under per_round are not phases
-    for bad in ({"phases": []}, {"per_round": []},
-                {"per_round": [[1, 10], [0, 54]]}):
+    for bad in ({"phases": []}, {"per_round": []}):
         with pytest.raises(ValueError, match="schedule total"):
             schedule(**bad)
+    with pytest.raises(ValueError, match="per_round must be a list of ints"):
+        schedule(per_round=[[1, 10], [0, 54]])
 
 
 # -- the block path ---------------------------------------------------------
@@ -598,6 +599,8 @@ def test_noise_scale_must_be_finite_and_non_negative(scale):
                       [0.2, 0.2], T=64, noise="gauss", noise_scale=scale)
     with pytest.raises(ValueError, match=msg):
         StochasticEnv(tent_mean(), noise="gauss", noise_scale=scale)
+    if not math.isfinite(scale):  # a config's numbers are finite JSON numbers
+        msg = re.escape(f"env.noise_scale must be a number, got {scale!r}")
     for top in (two_bump_spec(), {"kind": "distance_to_target"}):
         with pytest.raises(ValueError, match=msg):
             env_from_spec(dict(top, noise="gauss", noise_scale=scale), T=64,

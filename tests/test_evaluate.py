@@ -318,18 +318,18 @@ def test_eps_optimal_set_threshold_above_one_takes_all():
     eps = 0.5  # threshold = 30 * 0.5 * ln 64 * sqrt(ln 128) > 1 >= any gap
     thr = 30 * eps * math.log(T) * math.sqrt(d * math.log(n_dbl * T))
     assert thr >= 1.0
-    assert eps_optimal_set(env, grid, [eps], d, n_dbl, T)[0].all()
+    assert eps_optimal_set(env, grid, [eps], T)[0].all()
 
 
 def test_eps_with_an_empty_ladder_gets_an_empty_mask():
     env = det_env(([0, 0.49, 0.51, 1], [1.0, 1.0, 0.0, 0.0]))
     grid = grid_points(1, 1 / 16)
     assert eps_ladder_times(0.01, 64) == []
-    masks = eps_optimal_set(env, grid, [0.5, 0.01], 1, 2, 64)
+    masks = eps_optimal_set(env, grid, [0.5, 0.01], 64)
     assert masks[0].all()
     assert masks[1].dtype == bool and masks[1].shape == (17,)
     assert not masks[1].any()
-    (only,) = eps_optimal_set(env, grid, [0.01], 1, 2, 64)
+    (only,) = eps_optimal_set(env, grid, [0.01], 64)
     assert only.dtype == bool and only.shape == (17,) and not only.any()
 
 
@@ -344,7 +344,7 @@ def test_eps_optimal_set_two_arm():
     thr = 30 * eps * math.log(T) * math.sqrt(d * math.log(n_dbl * T))
     assert thr < 0.6
     assert eps_ladder_times(eps, T)  # the ladder reaches into [1, T]
-    mask = eps_optimal_set(env, grid, [eps], d, n_dbl, T)[0]
+    mask = eps_optimal_set(env, grid, [eps], T)[0]
     assert mask.tolist() == [True, False]
 
 
@@ -364,7 +364,7 @@ def test_eps_optimal_set_combined_concentrates_near_peaks():
     eps = 2.42e-4
     thr = 30 * eps * math.log(T) * math.sqrt(d * math.log(n_dbl * T))
     assert 0.35 < thr < 0.5  # between the near-peak and the baseline gaps
-    mask = eps_optimal_set(env, grid, [eps], d, n_dbl, T)[0]
+    mask = eps_optimal_set(env, grid, [eps], T)[0]
     members = set(grid[mask][:, 0].tolist())
     # mixture gaps: 0 at the peaks, 0.3125 one grid step away, 0.5 at the
     # baseline arms; the set is exactly the two peak neighborhoods
