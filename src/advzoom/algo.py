@@ -32,7 +32,6 @@ from .metric import (
     ZoomingDag,
     build_zooming_dag,
     cube_level,
-    doubling_constant,
     representative,
 )
 from .rng import stream_key, uniform
@@ -173,8 +172,7 @@ class AlgState:
                 raise ValueError(
                     f"start_height {h} exceeds DAG height {space.max_height}")
             kind, d = "dag", 1
-            n_dbl = (doubling_constant(space.space).value
-                     if config.n_dbl is None else None)
+            n_dbl = space.space.doubling.value if config.n_dbl is None else None
             # uniform inherited weight across the level (root's equal split,
             # iterated); exact lineage is ambiguous in a DAG, so use level size
             ids = space.levels[h]

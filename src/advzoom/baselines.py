@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import algo
+from . import algo, evaluate
 from .metric import product_grid
 from .trace import RoundRecord, Trace
 
@@ -35,6 +35,22 @@ def uniform_grid(d: int, eps: float) -> np.ndarray:
 def default_grid_eps(T: int, d: int) -> float:
     """eps = T^(-1/(d+2)), the classic K ~ T^(d/(d+2)) discretization."""
     return float(T) ** (-1.0 / (d + 2))
+
+
+def grid_eps(d: int, T: int, eps=None) -> float:
+    """The grid spacing of T rounds on [0,1]^d: default_grid_eps, or an eps
+    in (0, 1] whose K = ceil(1/eps)^d arms have K x T <= MAX_EVALS, K <= T."""
+    if eps is None:
+        return default_grid_eps(T, d)
+    inv = 1.0 / checked_grid_eps(eps)  # finite from 1/MAX_EVALS on
+    k = math.ceil(inv) ** d if inv <= evaluate.MAX_EVALS else math.inf
+    where = f"baseline.grid_eps={eps!r} at d={d}, T={T}"
+    if k * T > evaluate.MAX_EVALS:
+        raise ValueError(f"{where}: its arms x T rounds exceed "
+                         f"evaluate.MAX_EVALS={evaluate.MAX_EVALS}")
+    if k > T:  # at most one arm per round
+        raise ValueError(f"{where}: its {k} arms exceed T")
+    return float(eps)
 
 
 def default_params(K: int, T: int) -> algo.ParamValues:

@@ -16,9 +16,9 @@ ADVZOOM_OUT_ROOT environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -81,7 +81,7 @@ class ExperimentConfig:
             if (set(cfg.space) != {"kind", "path"}
                     or not isinstance(cfg.space["path"], str)):  # 0 is stdin
                 raise ValueError(f"bad space spec: {cfg.space}")
-            FiniteMetricSpace.from_file(cfg.space["path"])
+            cfg.arm_space  # read and checked here, kept for the run
         else:
             raise ValueError(f"space.kind must be cube or finite: {cfg.space}")
         if not isinstance(cfg.baseline, dict):
@@ -90,8 +90,6 @@ class ExperimentConfig:
         extra = set(cfg.baseline) - {"grid_eps"}
         if extra:
             raise ValueError(f"unknown baseline keys: {sorted(extra)}")
-        if cfg.baseline.get("grid_eps") is not None:
-            baselines.checked_grid_eps(cfg.baseline["grid_eps"])
         if not (type(cfg.seeds) is list and cfg.seeds
                 and all(type(s) is int for s in cfg.seeds)):  # no bools
             raise ValueError(f"config.seeds must be a non-empty list of "
@@ -116,13 +114,7 @@ class ExperimentConfig:
                              "is unmonitored, has no restarts, plays a grid")
         # the grid and horizon first: a combined env's schedule is T long
         evaluate.grid_eps_for(cfg.dim, cfg.horizon, cfg.grid_eps)
-        eps = cfg.baseline.get("grid_eps")
-        if eps is not None and not (  # 1/eps is finite from 1/MAX_EVALS on
-                1.0 / eps <= evaluate.MAX_EVALS and math.ceil(1.0 / eps)
-                ** cfg.dim * cfg.horizon <= evaluate.MAX_EVALS):
-            raise ValueError(f"baseline.grid_eps={eps!r} at d={cfg.dim}, "
-                             f"T={cfg.horizon}: its arms x T rounds exceed "
-                             f"evaluate.MAX_EVALS={evaluate.MAX_EVALS}")
+        baselines.grid_eps(cfg.dim, cfg.horizon, cfg.baseline.get("grid_eps"))
         env_d = env_from_spec(cfg.env, cfg.horizon, cfg.seeds[0]).d
         if env_d != cfg.dim:
             raise ValueError(f"env d={env_d} differs from the space's {cfg.dim}")
@@ -146,6 +138,14 @@ class ExperimentConfig:
         """Dimension of the arm space: the cube's d, or 1 for a finite space."""
         return self.space["d"] if self.space["kind"] == "cube" else 1
 
+    @functools.cached_property
+    def arm_space(self):
+        """The learner's space: the cube's d, or the finite space, read from
+        its file and checked once per config (not a field: hashed nowhere)."""
+        if self.space["kind"] == "cube":
+            return self.space["d"]
+        return FiniteMetricSpace.from_file(self.space["path"])
+
     def effective_repr_policy(self) -> str:
         if self.repr_policy is not None:
             return self.repr_policy
@@ -168,46 +168,25 @@ def _write_json(path, obj) -> None:
         json.dump(obj, f, indent=1, sort_keys=True)
 
 
-def _space_of(cfg: ExperimentConfig):
-    if cfg.space["kind"] == "cube":
-        return cfg.space["d"]
-    return FiniteMetricSpace.from_file(cfg.space["path"])
-
-
 # --------------------------------------------------------------------------
 # Single runs
 # --------------------------------------------------------------------------
 
 
 def _merge_anytime(phases: list) -> Trace:
-    """Concatenate phase traces under the first one's header and the total
-    T: global round numbers, offset node ids."""
+    """The phases' rounds under the first one's header and the total T, at
+    global t and node ids; node tables and snapshots stay in the phases."""
     merged = replace(phases[0], T=sum(tr.n_rounds for tr in phases),
                      rounds=[], node_table={})
-    t_base = 0
-    id_base = 0
+    t_base = id_base = 0
     for tr in phases:
-        for meta in tr.node_table.values():
-            shifted = replace(
-                meta,
-                node_id=meta.node_id + id_base,
-                parent_id=None if meta.parent_id is None
-                else meta.parent_id + id_base,
-                tau0=meta.tau0 + t_base,
-                tau1=None if meta.tau1 is None else meta.tau1 + t_base,
-            )
-            merged.add_node(shifted)
         for rec in tr.rounds:
             merged.append(replace(
-                rec,
-                t=rec.t + t_base,
-                node_id=rec.node_id + id_base,
+                rec, t=rec.t + t_base, node_id=rec.node_id + id_base,
                 zoomed=tuple(z + id_base for z in rec.zoomed),
-                active_ids=None if rec.active_ids is None
-                else tuple(i + id_base for i in rec.active_ids),
-            ))
+                active_ids=None, pi=None, g_hat=None))
         t_base += tr.n_rounds
-        id_base += max(tr.node_table) + 1
+        id_base += len(tr.node_table)
     return merged
 
 
@@ -215,9 +194,8 @@ def run_one_seed(cfg: ExperimentConfig, seed: int):
     """Run a single seed; returns (trace, env, phase_traces_for_monitor)."""
     environment = env_from_spec(cfg.env, cfg.horizon, seed)
     if cfg.algorithm == "exp3p_uniform":
-        eps = cfg.baseline.get("grid_eps")
-        if eps is None:
-            eps = baselines.default_grid_eps(cfg.horizon, cfg.dim)
+        eps = baselines.grid_eps(cfg.dim, cfg.horizon,
+                                 cfg.baseline.get("grid_eps"))
         arms = baselines.uniform_grid(cfg.dim, eps)
         trace = baselines.exp3p_run(arms, cfg.horizon, environment, seed=seed)
         return trace, environment, [trace]
@@ -226,11 +204,10 @@ def run_one_seed(cfg: ExperimentConfig, seed: int):
         repr_policy=cfg.effective_repr_policy(),
         record_state=cfg.record_pi,
     )
-    space = _space_of(cfg)
     if cfg.rounds is not None:
-        phases = algo.run_anytime(space, acfg, cfg.rounds, environment)
+        phases = algo.run_anytime(cfg.arm_space, acfg, cfg.rounds, environment)
         return _merge_anytime(phases), environment, phases
-    state = algo.init(space, cfg.T, acfg)
+    state = algo.init(cfg.arm_space, cfg.T, acfg)
     trace = algo.run(state, environment)
     return trace, environment, [trace]
 
@@ -300,11 +277,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 
 def _sweep_grid_eps(cfg: ExperimentConfig, horizons: list) -> list:
     """Each horizon's evaluation grid spacing, for a ladder that a slope
-    can be fitted to."""
+    can be fitted to and whose every rung is a horizon of the config."""
     if len(horizons) < 3:
         raise ValueError("need at least 3 horizons for a slope fit")
-    return [evaluate.grid_eps_for(cfg.dim, int(T), cfg.grid_eps)
-            for T in horizons]
+    grid_eps = [evaluate.grid_eps_for(cfg.dim, int(T), cfg.grid_eps)
+                for T in horizons]
+    for T in horizons:  # as at load: a combined env's schedule is T long
+        baselines.grid_eps(cfg.dim, int(T), cfg.baseline.get("grid_eps"))
+        env_from_spec(cfg.env, int(T), cfg.seeds[0])
+    return grid_eps
 
 
 def sweep_horizons(cfg: ExperimentConfig, horizons: list, out_dir) -> dict:

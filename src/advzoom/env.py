@@ -412,7 +412,8 @@ def _value_law(kind: str, params: dict):
     a at price b) and is completed monotonically with an atom of mass
     (b-a)/b at value 0 and an atom at the support end hi (revenue a*x/b
     below the peak).  Parameter combinations that break monotonicity even
-    on [b, hi] are rejected.
+    on [b, hi] are rejected; `support`, if given, is [b, hi] (hi defaults
+    to min(1, a+b)).
     """
     if kind == "uniform":
         _take(params, {"a", "b"}, "env.values")
@@ -431,11 +432,14 @@ def _value_law(kind: str, params: dict):
         raise ValueError(f"unknown value distribution {kind!r}")
     a = float(_number(params, "a", None, "env.values"))
     b = float(_number(params, "b", None, "env.values"))
-    _, hi = (_interval(params["support"], "env.values.support")
-             if "support" in params else (b, min(1.0, a + b)))
+    lo, hi = (_interval(params["support"], "env.values.support")
+              if "support" in params else (b, min(1.0, a + b)))
+    if lo != b:
+        raise ValueError(f"env.values.support must be [b, hi] with b={b}, "
+                         f"got {params['support']!r}")
     if not (0.0 < a <= b <= 1.0):
         raise ValueError(f"non-monotone CDF: need 0 < a <= b <= 1, got a={a} b={b}")
-    if hi > a + b + 1e-12 or hi > 1.0 or hi < b:
+    if hi > a + b + 1e-12 or hi > 1.0:
         raise ValueError(
             f"non-monotone CDF: support end {hi} outside [b, a+b] = [{b}, {a + b}]"
         )

@@ -187,6 +187,11 @@ class FiniteMetricSpace:
     def __len__(self) -> int:
         return len(self.points)
 
+    @functools.cached_property
+    def doubling(self) -> "DoublingReport":
+        """doubling_constant(self), computed on first use."""
+        return doubling_constant(self)
+
     @classmethod
     def from_file(cls, path):
         """Load from text: first line n, then n rows of n distances; the

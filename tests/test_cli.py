@@ -18,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import advzoom
-from advzoom import cli, evaluate
+from advzoom import cli, evaluate, metric
 from advzoom.cli import ExperimentConfig, load_config
 from advzoom.env import env_from_spec
+from advzoom.metric import FiniteMetricSpace
 
 
 TENT_D2 = {"kind": "distance_to_target", "target": [0.3, 0.6]}
@@ -505,6 +506,20 @@ def pricing_target(**values):
     ("run", {"env": {"kind": "custom_table", "path": "space3.txt",
                      "points": [[0, 0.3], [1, 0.7]]}}, [],
      "env takes points or path, one of the two"),
+    ("run", dict(EXP3P, T=1, baseline={"grid_eps": 1e-7}), [],
+     "baseline.grid_eps=1e-07 at d=1, T=1: its 10000000 arms exceed T"),
+    ("run", dict(EXP3P, baseline={"grid_eps": 0.001}), [],
+     "baseline.grid_eps=0.001 at d=1, T=16: its 1000 arms exceed T"),
+    ("sweep", dict(EXP3P, T=64, baseline={"grid_eps": 0.015625}),
+     ["--horizons", "16,32,64"],
+     "baseline.grid_eps=0.015625 at d=1, T=16: its 64 arms exceed T"),
+    ("run", {"env": pricing_target(support=[0.3, 0.7])}, [],
+     "env.values.support must be [b, hi] with b=0.5, got [0.3, 0.7]"),
+    ("run", {"env": pricing_target(support=[0.0, 0.7])}, [],
+     "env.values.support must be [b, hi] with b=0.5, got [0.0, 0.7]"),
+    ("sweep", {"env": dict(COMBINED, schedule={"phases": [[0, 8], [1, 8]]})},
+     ["--horizons", "8,16,32"],
+     "schedule total on [T] fails: phase lengths [8, 8] for T=8"),
 ])
 def test_bad_config_exits_2_with_nothing_written(
         tmp_path, monkeypatch, capsys, verb, over, flags, reason):
@@ -521,7 +536,7 @@ def test_bad_config_exits_2_with_nothing_written(
     assert not out.exists()
 
 
-# valid configs that the property below mutates, one key or value at a time
+# valid configs that the property below mutates, a key or value at a time
 MUTATION_BASES = [
     base_config(),
     base_config(space={"kind": "cube", "d": 2}, env=TENT_D2),
@@ -565,13 +580,9 @@ def json_at(node, path):
     return node
 
 
-@pytest.mark.parametrize("base", range(len(MUTATION_BASES)))
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_a_mutated_config_runs_or_exits_2_with_nothing_written(base, data):
-    # one mutation: a node becomes another JSON value, or a key is deleted
-    # from an object, or a key is added to one
-    raw = copy.deepcopy(MUTATION_BASES[base])
+def mutate(raw, data) -> None:
+    """One mutation: a node becomes another JSON value, or a key is deleted
+    from an object, or a key is added to one."""
     # deepest first: a failing draw shrinks towards the front of the list
     paths = sorted(json_paths(raw), key=len, reverse=True)
     op = data.draw(st.sampled_from(["replace", "delete", "add"]))
@@ -587,6 +598,32 @@ def test_a_mutated_config_runs_or_exits_2_with_nothing_written(base, data):
             del json_at(raw, path[:-1])[path[-1]]
         else:
             json_at(raw, path[:-1])[path[-1]] = data.draw(JSON_VALUES)
+
+
+# each verb's own arguments, and flag values of the wrong type or out of
+# range (none starts with "-" and a letter, which argparse reads as a flag)
+VERB_ARGS = {"run": [], "sweep": ["--horizons", "8,16,32"], "audit": [],
+             "cover": ["--eps", "0.5,0.25,0.125"]}
+BAD_FLAG_VALUES = ["", "x", "-1", "0", "1.5", "1e-300", "nan", "inf", "1,x",
+                   "4,", "18446744073709551616", "99999999", "middle"]
+
+
+@pytest.mark.parametrize("verb, base", [  # the run ids stay [0]..[8]
+    pytest.param(verb, base, id=f"{verb}-{base}".removeprefix("run-"))
+    for verb in VERB_ARGS for base in range(len(MUTATION_BASES))])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_mutated_config_runs_or_exits_2_with_nothing_written(
+        verb, base, data):
+    # one or two mutations, and sometimes one flag with a bad value
+    raw = copy.deepcopy(MUTATION_BASES[base])
+    for _ in range(data.draw(st.integers(1, 2))):
+        mutate(raw, data)
+    argv = [verb, "cfg.json", "--out", "o", *VERB_ARGS[verb]]
+    if data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(cli._FLAG_KEYS)))
+        argv += [f"--{key.replace('_', '-')}",
+                 data.draw(st.sampled_from(BAD_FLAG_VALUES))]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # finite-space and table paths are relative to it
@@ -596,11 +633,11 @@ def test_a_mutated_config_runs_or_exits_2_with_nothing_written(base, data):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):
-                rc = cli.main(["run", "cfg.json", "--out", "o"])
-            assert rc in (0, 2), raw
+                rc = cli.main(argv)
+            assert rc in (0, 2), (argv, raw)
             if rc == 2:
-                assert err.getvalue().startswith("config error:"), raw
-                assert not os.path.exists("o"), raw
+                assert err.getvalue().startswith("config error:"), (argv, raw)
+                assert not os.path.exists("o"), (argv, raw)
         finally:
             os.chdir(cwd)
 
@@ -664,7 +701,14 @@ RUN_TREE_SHA256 = {
         "be242935ecc3367c909ff28082a874350d55f69f8467fbc1c000e013334381e0",
     "flagged":
         "5df186cf4b4933a57278a6ffdc51609f2ae0b91b36b4ac809ca678333f8627a0",
+    "finite":
+        "c55a896a115ab9c38b1dd6747990a3302c27929d8076d82b31ea3b3c569656e2",
 }
+# a six-point line at spacing 1/5, and a space spec reading it relative to
+# the run's working directory, so the manifest names no temporary path
+LINE_6 = "6\n" + "".join(" ".join(repr(abs(i - j) / 5) for j in range(6))
+                         + "\n" for i in range(6))
+FINITE_6 = {"kind": "finite", "path": "line6.txt"}
 
 
 @pytest.mark.parametrize("name, over, flags", [
@@ -680,13 +724,52 @@ RUN_TREE_SHA256 = {
     ("flagged", {"T": 64}, ["--T", "200", "--seeds", "4,5", "--emit-curves",
                             "1", "--repr-policy", "seeded_uniform",
                             "--grid-eps", "0.0078125"]),
+    ("finite", {"space": FINITE_6, "T": 256, "seeds": [0, 1, 2]}, []),
 ])
-def test_run_output_trees_are_pinned(tmp_path, name, over, flags):
+def test_run_output_trees_are_pinned(tmp_path, monkeypatch, name, over, flags):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "line6.txt").write_text(LINE_6)
     raw = {k: v for k, v in base_config(**over).items() if v is not None}
     out = tmp_path / "o"
     assert cli.main(["run", write_config(tmp_path, raw), "--out", str(out),
                      *flags]) == 0
     assert tree_sha256(out) == RUN_TREE_SHA256[name]
+
+
+def test_a_finite_space_run_reads_and_measures_its_space_once(
+        tmp_path, monkeypatch):
+    calls = []
+    from_file = FiniteMetricSpace.from_file.__func__
+    doubling_constant = metric.doubling_constant
+
+    def counted_file(cls, path):
+        calls.append("from_file")
+        return from_file(cls, path)
+
+    def counted_doubling(space):
+        calls.append("doubling_constant")
+        return doubling_constant(space)
+
+    monkeypatch.setattr(FiniteMetricSpace, "from_file",
+                        classmethod(counted_file))
+    monkeypatch.setattr(metric, "doubling_constant", counted_doubling)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "line6.txt").write_text(LINE_6)
+    raw = base_config(space=FINITE_6, T=64, seeds=[0, 1, 2])
+    assert cli.main(["run", write_config(tmp_path, raw), "--out", "o"]) == 0
+    assert sorted(calls) == ["doubling_constant", "from_file"]
+
+
+def test_anytime_merge_leaves_node_tables_and_snapshots_to_the_phases():
+    cfg = ExperimentConfig.from_dict(base_config(T=None, rounds=300))
+    trace, _, phases = cli.run_one_seed(cfg, 0)
+    assert trace.n_rounds == 300 and trace.node_table == {}
+    assert all(r.pi is None and r.g_hat is None and r.active_ids is None
+               for r in trace.rounds)
+    assert len(phases) > 1 and all(tr.node_table for tr in phases)
+    assert all(r.pi is not None and r.g_hat is not None
+               and r.active_ids is not None
+               for tr in phases for r in tr.rounds)
 
 
 def test_exp3p_run_keeps_no_snapshots():
@@ -782,7 +865,7 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def test_readme_quick_start_and_config_run(capsys):
-    text = open(README).read()
+    text = Path(README).read_text()
     quick = text.split("## Library quick start", 1)[1]
     code = re.search(r"```python\n(.*?)```", quick, re.S).group(1)
     exec(compile(code, "README quick start", "exec"), {})

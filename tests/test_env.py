@@ -315,7 +315,7 @@ def _every_env_kind():
                             [(0.1, 0.4), (0.6, 0.9)], [0.2, 0.2], T=64,
                             noise=noise, noise_scale=0.2, seed=3)
     yield PricingEnv("uniform", {"a": 0.1, "b": 0.9}, seed=3)
-    yield PricingEnv("target", {"a": 0.25, "b": 0.5, "support": (0.3, 0.7)},
+    yield PricingEnv("target", {"a": 0.25, "b": 0.5, "support": (0.5, 0.7)},
                      seed=3)
 
 
@@ -398,7 +398,7 @@ def test_pricing_buy_rule():
 
 @pytest.mark.parametrize("kind, params", [
     ("uniform", {"a": 0.1, "b": 0.9}),
-    ("target", {"a": 0.25, "b": 0.5, "support": (0.3, 0.7)}),
+    ("target", {"a": 0.25, "b": 0.5, "support": (0.5, 0.7)}),
 ])
 def test_single_arm_reward_equals_block_pricing(kind, params):
     env = PricingEnv(kind, params, seed=2)
@@ -407,7 +407,7 @@ def test_single_arm_reward_equals_block_pricing(kind, params):
 
 @pytest.mark.parametrize("kind, params", [
     ("uniform", {"a": 0.1, "b": 0.9}),
-    ("target", {"a": 0.25, "b": 0.5, "support": (0.3, 0.7)}),
+    ("target", {"a": 0.25, "b": 0.5, "support": (0.5, 0.7)}),
 ])
 def test_pricing_scalar_value_equals_the_array_path(kind, params):
     env = PricingEnv(kind, params, seed=5)
@@ -445,7 +445,7 @@ def test_pricing_env_checks_its_values_at_construction(kind, params, reason):
 
 
 def test_pricing_target_family_mean_revenue():
-    params = {"a": 0.25, "b": 0.5, "support": (0.3, 0.7)}
+    params = {"a": 0.25, "b": 0.5, "support": (0.5, 0.7)}
     # Monte Carlo of x * 1{x <= v} against the peak value
     env = PricingEnv("target", params, seed=1)
     vs = env._value_of((np.arange(100_000) + 0.5) / 100_000)
@@ -457,14 +457,14 @@ def test_pricing_target_family_mean_revenue():
         mc_x = np.where(x <= vs, x, 0.0).mean()
         assert mc_x == pytest.approx(0.25 - abs(x - 0.5), abs=0.01)
     with pytest.raises(ValueError, match="non-monotone"):
-        PricingEnv("target", {"a": 0.25, "b": 0.5, "support": (0.3, 0.9)})
+        PricingEnv("target", {"a": 0.25, "b": 0.5, "support": (0.5, 0.9)})
 
 
 def test_pricing_values_stay_in_unit_interval():
     for kind, params in (("uniform", {"a": 0.0, "b": 1.0}),
                          ("uniform", {"a": 0.3, "b": 0.8}),
                          ("target", {"a": 0.25, "b": 0.5,
-                                     "support": (0.3, 0.7)})):
+                                     "support": (0.5, 0.7)})):
         env = PricingEnv(kind, params, seed=5)
         vs = env.value(np.arange(1, 2001))
         assert vs.min() >= 0.0 and vs.max() <= 1.0
