@@ -38,6 +38,7 @@ from .rng import stream_key, uniform
 from .trace import NodeMeta, RoundRecord, Trace
 
 SELECT_STREAM = "algo.select"
+SELECT_BLOCK = 256  # rounds of selection uniforms drawn at once (2 KiB)
 
 
 # --------------------------------------------------------------------------
@@ -53,6 +54,10 @@ class ParamValues:
     eta: float
 
 
+def _log_num(a_size: int, T: int, n_dbl: int) -> float:
+    return 2.0 * math.log(a_size * T**3) * math.log(max(2.0, n_dbl * a_size))
+
+
 def raw_param(t: int, a_size: int, T: int, n_dbl: int, d: float) -> float:
     """Unclamped schedule value sqrt(2 ln(A T^3) ln(N A)) / sqrt(t A d ln^2 T).
 
@@ -61,9 +66,8 @@ def raw_param(t: int, a_size: int, T: int, n_dbl: int, d: float) -> float:
     """
     if T < 2:
         return 0.5
-    num = 2.0 * math.log(a_size * T**3) * math.log(max(2.0, n_dbl * a_size))
-    den = t * a_size * d * math.log(T) ** 2
-    return math.sqrt(num / den)
+    return math.sqrt(_log_num(a_size, T, n_dbl)
+                     / (t * a_size * d * math.log(T) ** 2))
 
 
 class ParamSchedule:
@@ -92,6 +96,8 @@ class ParamSchedule:
         self.conf_coeff = coeff_scale * (1.0 + 4.0 * log2T)
         self._t = 0  # last round advanced
         self._running_min = 0.5
+        self._log_T2 = math.log(T) ** 2 if T > 1 else 0.0
+        self._num = {}  # |A_t| -> raw_param's logs, which need only |A_t|
 
     def advance(self, t: int, a_size: int) -> ParamValues:
         if t != self._t + 1:
@@ -99,7 +105,12 @@ class ParamSchedule:
         self._t = t
         if self.override is not None:
             return self.override
-        beta = min(0.5, raw_param(t, a_size, self.T, self.n_dbl, self.d))
+        num = self._num.get(a_size)
+        if num is None:
+            num = self._num[a_size] = _log_num(a_size, self.T, self.n_dbl)
+        # raw_param's value, in its order of operations
+        beta = 0.5 if self.T < 2 else min(0.5, math.sqrt(
+            num / (t * a_size * self.d * self._log_T2)))
         beta = min(beta, self._running_min)
         self._running_min = beta
         gamma = min(0.5, self.gamma_coeff * a_size * beta)
@@ -187,6 +198,8 @@ class AlgState:
             coeff_scale=config.coeff_scale,
         )
         self.select_key = stream_key(config.seed, SELECT_STREAM)
+        # selection uniforms of rounds _u_lo, _u_lo + 1, ... (see select)
+        self._u_lo, self._u = 0, []
 
         self.trace = Trace(
             algorithm="adversarial_zooming",
@@ -254,22 +267,32 @@ def distribution(state: AlgState, pv: ParamValues) -> np.ndarray:
     max-subtraction; pi mixes in gamma of uniform, so every node keeps
     probability at least gamma/|A_t|.
     """
-    w_log = pv.eta * state.g_hat - state.log_c_prod
-    if not np.all(np.isfinite(w_log)):
+    w = pv.eta * state.g_hat
+    w -= state.log_c_prod
+    top = w.max()
+    # NaN propagates through both reductions, so this is "all finite"
+    if not (math.isfinite(top) and math.isfinite(w.min())):
         raise ArithmeticError(f"non-finite weight exponent at round {state.t}")
-    p = np.exp(w_log - w_log.max())
+    w -= top
+    p = np.exp(w, out=w)
     p /= p.sum()
-    n = state.n_active
-    pi = (1.0 - pv.gamma) * p + pv.gamma / n
-    return pi
+    p *= 1.0 - pv.gamma
+    p += pv.gamma / state.n_active
+    return p
 
 
 def select(state: AlgState, pi: np.ndarray):
     """Inverse-CDF draw on the round-keyed uniform; cumulative sums follow
-    activation order, which fixes tie-breaking deterministically."""
-    u = float(uniform(state.select_key, state.t))
-    cum = np.cumsum(pi)
-    idx = int(np.searchsorted(cum, u, side="right"))
+    activation order, which fixes tie-breaking deterministically.  The
+    uniforms are drawn SELECT_BLOCK rounds at a time from any t >= 1, by
+    rng.uniform's array path, which equals the scalar draw bit for bit."""
+    t = state.t
+    if not 0 <= t - state._u_lo < len(state._u):
+        state._u_lo = t
+        n = min(SELECT_BLOCK, state.T)
+        state._u = uniform(state.select_key, np.arange(t, t + n)).tolist()
+    u = state._u[t - state._u_lo]
+    idx = int(pi.cumsum().searchsorted(u, side="right"))
     idx = min(idx, state.n_active - 1)
     arm = state.trace.node_table[state.ids[idx]].arm
     return idx, arm

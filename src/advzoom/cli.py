@@ -367,6 +367,8 @@ def _out_dir(args, cfg_path) -> str:
 
 
 def _flag_bool(v: str) -> bool:
+    if v.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"boolean flags take 1/0/true/false/yes/no, got {v!r}")
     return v.lower() in ("1", "true", "yes")
 
 

@@ -457,7 +457,7 @@ def _value_law(kind: str, params: dict):
 class PricingEnv:
     """Posted-price environment: reward x * 1{x <= v_t}.
 
-    Private values v_t are materialized from the value stream before round 1;
+    Private values v_t = value(t) are drawn on demand from (seed, t) alone;
     every realization satisfies the one-sided condition
     g_t(x) - g_t(x') <= x - x' for x > x' by construction.
     """

@@ -12,9 +12,9 @@ selection stream, the reward-noise stream, and the pricing-value stream never
 collide even under equal seeds.
 
 `uniform` on a scalar key and two scalar integer counters runs splitmix64
-on Python ints (`_mix`), which skips numpy's per-call array set-up on the
-learner's per-round draws.  It computes the same function as the array path, bit for
-bit, and returns an np.float64.
+on Python ints (`_mix`), which skips numpy's per-call array set-up on single
+draws such as a pricing round's value.  It computes the same function as the
+array path, bit for bit, and returns an np.float64.
 """
 
 from __future__ import annotations

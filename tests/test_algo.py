@@ -9,6 +9,7 @@ from advzoom import algo, evaluate
 from advzoom.algo import AlgoConfig, ParamValues
 from advzoom.env import MeanFunction, StochasticEnv, env_from_spec
 from advzoom.metric import FiniteMetricSpace
+from advzoom.rng import uniform
 from advzoom.trace import RoundRecord, Trace
 from conftest import tent_mean
 
@@ -115,6 +116,22 @@ def test_params_monotone_under_jumps():
     assert all(0.0 < b <= 0.5 for b in betas)
 
 
+@pytest.mark.parametrize("T, n_dbl, d", [(4096, 2, 1.0), (2048, 25, 2.0),
+                                          (1, 2, 1.0)])
+def test_schedule_equals_the_uncached_running_minimum(T, n_dbl, d):
+    # |A_t| jumps anywhere in 1..64, so every size's cached logs are reused
+    # out of order
+    sizes = np.random.default_rng(T).integers(1, 65, size=T).tolist()
+    sched = algo.ParamSchedule(T, n_dbl, d)
+    running = 0.5
+    for t, a in enumerate(sizes, start=1):
+        running = min(min(0.5, algo.raw_param(t, a, T, n_dbl, d)), running)
+        pv = sched.advance(t, a)
+        assert pv.beta == pv.beta_tilde == pv.eta == running
+        assert pv.gamma == min(0.5, sched.gamma_coeff * a * running)
+    assert len(set(sizes)) == min(T, 64)
+
+
 def test_params_override():
     ov = ParamValues(0.25, 0.25, 0.25, 0.25)
     st = fresh(T=16, param_override=ov)
@@ -157,6 +174,19 @@ def test_distribution_rejects_nonfinite():
         algo.distribution(st, ParamValues(0.5, 0.5, 0.5, 0.5))
 
 
+@pytest.mark.parametrize("at", [0, 1])
+@pytest.mark.parametrize("g_hat, log_c_prod", [
+    (np.nan, 0.0),  # NaN
+    (np.inf, 0.0),  # +inf
+    (0.0, np.inf),  # -inf, through log c_prod
+])
+def test_distribution_rejects_nonfinite_on_any_node(at, g_hat, log_c_prod):
+    st = two_node_state([0.0, 0.0], [1.0, 2.0])
+    st.g_hat[at], st.log_c_prod[at] = g_hat, log_c_prod
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        algo.distribution(st, ParamValues(0.5, 0.5, 0.5, 0.5))
+
+
 # -- selection -------------------------------------------------------------
 
 
@@ -169,6 +199,22 @@ def test_select_single_and_degenerate():
         st2.t = t
         idx, _ = algo.select(st2, np.array([1.0, 0.0]))
         assert idx == 0
+
+
+def test_select_draws_the_scalar_uniform_of_its_round():
+    T, B = 3000, algo.SELECT_BLOCK
+    st = algo.init(1, T, AlgoConfig(seed=7))
+    algo.zoom_in(st, [0])  # two nodes
+    # window edges, the horizon and past it, then backwards
+    for t in [1, 2, B, B + 1, 2 * B, 2 * B + 1, T, T + 1, T + 5000, B + 1, 1,
+              7]:
+        st.t = t
+        u = float(uniform(st.select_key, t))
+        # pi_0 = u is drawn past only by a draw >= u, and pi_0 just above u
+        # only by a draw > u, so the draw is u exactly
+        assert algo.select(st, np.array([u, 1.0 - u]))[0] == 1
+        assert algo.select(st, np.array([np.nextafter(u, 1.0), 1.0 - u]))[0] \
+            == 0
 
 
 def test_select_monte_carlo_frequencies():
@@ -544,6 +590,40 @@ def test_cube_d2_start_height_trace_is_pinned(tmp_path):
     st = algo.init(2, 1024, AlgoConfig(seed=3, start_height=1))
     digest = csv_sha256(algo.run(st, environment), tmp_path / "trace.csv")
     assert digest == CUBE_D2_START_HEIGHT_CSV_SHA256
+
+
+# SHA-256 of every round's pi bytes and of every round's g_hat bytes, which
+# the monitor reads and the CSV pins do not cover; pinned before the
+# selection uniforms were drawn a block of rounds at a time
+SNAPSHOT_SHA256 = {
+    "cube_d2": (
+        "ce61beb18c80ca03693dfa30d06278b9abacfb9e074781094f1c0c9b98ffd607",
+        "53e3d5e111ed05272934f702683715b0fc73c01350045871f11da6731649005f"),
+    "dag40": (
+        "de293816a257b86b858e7484f82a6495c96407b1827886a423023973c9037a86",
+        "5f5d65bd22eb1307b570ba0f703ad289babaeeb7b34e1e404517d6360b1c8117"),
+}
+
+
+def snapshot_run(name):
+    if name == "cube_d2":
+        environment = env_from_spec(
+            {"kind": "distance_to_target", "target": [0.618, 0.382]}, 2048, 3)
+        return algo.run(algo.init(2, 2048, AlgoConfig(seed=3)), environment)
+    x = (np.arange(40) + np.random.default_rng(4).random(40)) / 40
+    space = FiniteMetricSpace(x.tolist(), np.abs(x[:, None] - x))
+    environment = env_from_spec({"kind": "distance_to_target"}, 1024, 4)
+    return algo.run(algo.init(space, 1024, AlgoConfig(seed=4, n_dbl=2)),
+                    environment)
+
+
+@pytest.mark.parametrize("name", sorted(SNAPSHOT_SHA256))
+def test_snapshots_are_pinned(name):
+    pi, g_hat = hashlib.sha256(), hashlib.sha256()
+    for rec in snapshot_run(name).rounds:
+        pi.update(rec.pi.tobytes())
+        g_hat.update(rec.g_hat.tobytes())
+    assert (pi.hexdigest(), g_hat.hexdigest()) == SNAPSHOT_SHA256[name]
 
 
 def test_dag_children_shared_by_two_parents_activate_once():

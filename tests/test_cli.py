@@ -520,6 +520,12 @@ def pricing_target(**values):
     ("sweep", {"env": dict(COMBINED, schedule={"phases": [[0, 8], [1, 8]]})},
      ["--horizons", "8,16,32"],
      "schedule total on [T] fails: phase lengths [8, 8] for T=8"),
+    ("run", None, ["--record-pi", "maybe"],
+     "boolean flags take 1/0/true/false/yes/no, got 'maybe'"),
+    ("run", None, ["--emit-curves", "2"],
+     "boolean flags take 1/0/true/false/yes/no, got '2'"),
+    ("run", None, ["--debug-invariants", ""],
+     "boolean flags take 1/0/true/false/yes/no, got ''"),
 ])
 def test_bad_config_exits_2_with_nothing_written(
         tmp_path, monkeypatch, capsys, verb, over, flags, reason):
