@@ -29,7 +29,6 @@ import numpy as np
 from .metric import (
     DagNode,
     FiniteMetricSpace,
-    ZoomingDag,
     build_zooming_dag,
     cube_level,
     representative,
@@ -143,9 +142,10 @@ class AlgState:
     """One run's mutable state.  Confined to a single sequential execution;
     run independent seeds in separate states.
 
-    `space` is a cube dimension d, a FiniteMetricSpace or ZoomingDag, or a
-    (K, d) array of fixed arms.  Each fixed arm is a zero-scale node with
-    no children, so the zoom test never passes and A_t stays all K arms.
+    `space` is a cube dimension d, a FiniteMetricSpace (played on its
+    zooming DAG), or a (K, d) array of fixed arms.  Each fixed arm is a
+    zero-scale node with no children, so the zoom test never passes and A_t
+    stays all K arms.
     """
 
     def __init__(self, space, T: int, config: AlgoConfig):
@@ -172,23 +172,21 @@ class AlgState:
             level = [(DagNode(node_id=(0, k), center_point=k, height=0,
                               scale=0.0, arm=tuple(arm)), 0.0)
                      for k, arm in enumerate(space)]
-        else:
-            if isinstance(space, FiniteMetricSpace):
-                space = build_zooming_dag(
-                    space, max_height=int(math.ceil(math.log2(max(2, T)))) + 1
-                )
-            if not isinstance(space, ZoomingDag):
-                raise TypeError(f"unsupported space {type(space)!r}")
-            if h > space.max_height:
+        elif isinstance(space, FiniteMetricSpace):
+            dag = build_zooming_dag(
+                space, max_height=int(math.ceil(math.log2(max(2, T)))) + 1)
+            if h > dag.max_height:
                 raise ValueError(
-                    f"start_height {h} exceeds DAG height {space.max_height}")
+                    f"start_height {h} exceeds DAG height {dag.max_height}")
             kind, d = "dag", 1
-            n_dbl = space.space.doubling.value if config.n_dbl is None else None
+            n_dbl = space.doubling.value if config.n_dbl is None else None
             # uniform inherited weight across the level (root's equal split,
             # iterated); exact lineage is ambiguous in a DAG, so use level size
-            ids = space.levels[h]
+            ids = dag.levels[h]
             log_cp = math.log(len(ids)) if len(ids) > 1 else 0.0
-            level = [(space.nodes[nid], log_cp) for nid in ids]
+            level = [(dag.nodes[nid], log_cp) for nid in ids]
+        else:
+            raise TypeError(f"unsupported space {type(space)!r}")
         self.kind = kind
         self.d = float(config.d if config.d is not None else d)
         self.n_dbl = int(config.n_dbl if config.n_dbl is not None else n_dbl)

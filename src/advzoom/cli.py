@@ -81,6 +81,8 @@ class ExperimentConfig:
             if (set(cfg.space) != {"kind", "path"}
                     or not isinstance(cfg.space["path"], str)):  # 0 is stdin
                 raise ValueError(f"bad space spec: {cfg.space}")
+            if cfg.repr_policy is not None:  # DAG balls play their centres
+                raise ValueError("a finite space takes no repr_policy")
             cfg.arm_space  # read and checked here, kept for the run
         else:
             raise ValueError(f"space.kind must be cube or finite: {cfg.space}")
@@ -97,6 +99,8 @@ class ExperimentConfig:
         if not all(0 <= s < 2**64 for s in cfg.seeds):  # stream keys' range
             raise ValueError(f"config.seeds must lie in [0, 2**64), "
                              f"got {cfg.seeds!r}")
+        if len(set(cfg.seeds)) < len(cfg.seeds):  # each seed's files once
+            raise ValueError(f"config.seeds repeats a seed: {cfg.seeds!r}")
         for key in ("record_pi", "debug_invariants", "emit_curves"):
             if type(getattr(cfg, key)) is not bool:
                 raise ValueError(f"config.{key} must be true or false, "
@@ -112,12 +116,7 @@ class ExperimentConfig:
             raise ValueError("debug_invariants, rounds and a finite space "
                              "each needs adversarial_zooming: exp3p_uniform "
                              "is unmonitored, has no restarts, plays a grid")
-        # the grid and horizon first: a combined env's schedule is T long
-        evaluate.grid_eps_for(cfg.dim, cfg.horizon, cfg.grid_eps)
-        baselines.grid_eps(cfg.dim, cfg.horizon, cfg.baseline.get("grid_eps"))
-        env_d = env_from_spec(cfg.env, cfg.horizon, cfg.seeds[0]).d
-        if env_d != cfg.dim:
-            raise ValueError(f"env d={env_d} differs from the space's {cfg.dim}")
+        _horizon_grid_eps(cfg, cfg.horizon)
         return cfg
 
     def to_dict(self) -> dict:
@@ -150,6 +149,29 @@ class ExperimentConfig:
         if self.repr_policy is not None:
             return self.repr_policy
         return "low_endpoint" if self.env.get("kind") == "pricing" else "center"
+
+
+def _horizon_grid_eps(cfg: ExperimentConfig, T: int) -> float:
+    """The evaluation grid spacing of horizon T, once that grid and the
+    EXP3.P grid fit T and the env builds at T with the space's d."""
+    # the grid and horizon first: a combined env's schedule is T long
+    grid_eps = evaluate.grid_eps_for(cfg.dim, T, cfg.grid_eps)
+    baselines.grid_eps(cfg.dim, T, cfg.baseline.get("grid_eps"))
+    env_d = env_from_spec(cfg.env, T, cfg.seeds[0]).d
+    if env_d != cfg.dim:
+        raise ValueError(f"env d={env_d} differs from the space's {cfg.dim}")
+    return grid_eps
+
+
+def _checked_ladder(xs: list, what: str, at_least: int = 1) -> list:
+    """xs, if it has at least `at_least` rungs, each finite, > 0 and once."""
+    if not all(0.0 < x < np.inf for x in xs):
+        raise ValueError(f"every {what} must be finite and > 0: {xs}")
+    if len(xs) < at_least:
+        raise ValueError(f"need at least {at_least} {what}s for a fit")
+    if len(set(xs)) < len(xs):  # a repeated rung adds no point to the fit
+        raise ValueError(f"the {what} ladder repeats a rung: {xs}")
+    return xs
 
 
 def load_config(path, overrides=None) -> ExperimentConfig:
@@ -278,13 +300,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
 def _sweep_grid_eps(cfg: ExperimentConfig, horizons: list) -> list:
     """Each horizon's evaluation grid spacing, for a ladder that a slope
     can be fitted to and whose every rung is a horizon of the config."""
-    if len(horizons) < 3:
-        raise ValueError("need at least 3 horizons for a slope fit")
-    grid_eps = [evaluate.grid_eps_for(cfg.dim, int(T), cfg.grid_eps)
-                for T in horizons]
-    for T in horizons:  # as at load: a combined env's schedule is T long
-        baselines.grid_eps(cfg.dim, int(T), cfg.baseline.get("grid_eps"))
-        env_from_spec(cfg.env, int(T), cfg.seeds[0])
+    grid_eps = [_horizon_grid_eps(cfg, int(T)) for T in horizons]
+    _checked_ladder(horizons, "horizon", at_least=3)
     return grid_eps
 
 
@@ -326,17 +343,12 @@ def audit_env(cfg: ExperimentConfig, out_dir) -> dict:
     return out
 
 
-def _checked_ladder(ladder: list) -> list:
-    if not all(0.0 < eps < np.inf for eps in ladder):
-        raise ValueError(f"every cover eps must be finite and > 0: {ladder}")
-    return ladder
-
-
 def cover_fit(cfg: ExperimentConfig, out_dir,
               eps_ladder: Optional[list] = None) -> dict:
     """Dimension fit over the environment's near-optimal arm sets."""
     T, d = cfg.horizon, cfg.dim
-    ladder = _checked_ladder(eps_ladder or [2.0 ** -k for k in range(2, 8)])
+    ladder = _checked_ladder(eps_ladder or [2.0 ** -k for k in range(2, 8)],
+                             "cover eps")
     grid = evaluate.grid_points(d, evaluate.grid_eps_for(d, T, cfg.grid_eps))
     os.makedirs(out_dir, exist_ok=True)
     environment = env_from_spec(cfg.env, T, cfg.seeds[0])
@@ -420,7 +432,8 @@ def main(argv=None) -> int:
             horizons = [int(v) for v in args.horizons.split(",")]
             _sweep_grid_eps(cfg, horizons)
         if args.verb == "cover" and args.eps:
-            args.eps = _checked_ladder([float(v) for v in args.eps.split(",")])
+            args.eps = _checked_ladder([float(v) for v in args.eps.split(",")],
+                                       "cover eps")
     except (ValueError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -430,6 +430,7 @@ def _value_law(kind: str, params: dict):
         return (lambda u: a + u * (b - a)), revenue
     if kind != "target":
         raise ValueError(f"unknown value distribution {kind!r}")
+    _take(params, {"a", "b", "support"}, "env.values")
     a = float(_number(params, "a", None, "env.values"))
     b = float(_number(params, "b", None, "env.values"))
     lo, hi = (_interval(params["support"], "env.values.support")
@@ -601,7 +602,8 @@ def _mean_from_spec(spec: dict, where: str = "env") -> MeanFunction:
         xs = [float(p[0]) for p in pts]
         ys = [float(p[1]) for p in pts]
         return MeanFunction("custom_table", {"xs": xs, "ys": ys})
-    _take(spec, {"kind", "target", "peak", "baseline", "support"}, where)
+    _take(spec, {"kind", "peak", "baseline", "support"}
+          | ({"target"} if kind == "distance_to_target" else set()), where)
     params = {}
     if kind == "distance_to_target":
         target = params["target"] = spec.get("target", 0.6180339887498949)

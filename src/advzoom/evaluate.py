@@ -185,9 +185,11 @@ def gaps_at(env, grid: np.ndarray, ts) -> np.ndarray:
 
 def eps_ladder_times(eps: float, T: int) -> list:
     """End-times { t0 * 2^k } with t0 the least integer > eps^-2 / 9."""
-    start = math.floor(eps**-2 / 9.0) + 1
+    try:
+        t = math.floor(eps**-2 / 9.0) + 1
+    except OverflowError:  # eps below ~7.5e-155: t0 is past any horizon
+        return []
     out = []
-    t = start
     while t <= T:
         out.append(t)
         t *= 2

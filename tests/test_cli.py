@@ -526,6 +526,19 @@ def pricing_target(**values):
      "boolean flags take 1/0/true/false/yes/no, got '2'"),
     ("run", None, ["--debug-invariants", ""],
      "boolean flags take 1/0/true/false/yes/no, got ''"),
+    ("sweep", {}, ["--horizons", "64,64,64"],
+     "the horizon ladder repeats a rung: [64, 64, 64]"),
+    ("cover", {}, ["--eps", "0.5,0.5,0.5"],
+     "the cover eps ladder repeats a rung: [0.5, 0.5, 0.5]"),
+    ("run", {}, ["--seeds", "0,0"], "config.seeds repeats a seed: [0, 0]"),
+    ("run", {"env": {"kind": "concave", "target": "abc"}}, [],
+     "unknown keys ['target'] in env"),
+    ("run", {"env": dict(COMBINED, instances=[
+        dict(BUMP, support=[0.1, 0.4], target=0.25),
+        dict(BUMP, support=[0.6, 0.9])])}, [],
+     "unknown keys ['target'] in env.instances[0]"),
+    ("run", {"space": FINITE_3, "repr_policy": "center"}, [],
+     "a finite space takes no repr_policy"),
 ])
 def test_bad_config_exits_2_with_nothing_written(
         tmp_path, monkeypatch, capsys, verb, over, flags, reason):
@@ -646,6 +659,55 @@ def test_a_mutated_config_runs_or_exits_2_with_nothing_written(
                 assert not os.path.exists("o"), (argv, raw)
         finally:
             os.chdir(cwd)
+
+
+# each ladder flag's rungs that run, and rungs that repeat, are not > 0, are
+# too small or too large for their use, are not finite or are not numbers
+LADDER_FLAGS = {"sweep": ("--horizons", ["8", "16", "32"]),
+                "cover": ("--eps", ["0.5", "0.25", "0.125"]),
+                "run": ("--seeds", ["0", "1", "2"])}
+BAD_RUNGS = ["0", "-1", "-0.5", "5e-324", "1e-200", "1e308", "nan", "inf",
+             "x", "", "18446744073709551616"]
+
+
+@pytest.mark.parametrize("verb", sorted(LADDER_FLAGS))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_ladder_flag_runs_or_exits_2_with_nothing_written(verb, data):
+    flag, rungs = LADDER_FLAGS[verb]
+    tokens = data.draw(st.lists(st.sampled_from(rungs + BAD_RUNGS),
+                                min_size=1, max_size=4))
+    # "--flag=value": argparse would read a value like "-1,2" as a flag
+    argv = [verb, "cfg.json", "--out", "o", f"{flag}={','.join(tokens)}"]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("cfg.json").write_text(json.dumps(base_config()))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = cli.main(argv)
+            assert rc in (0, 2), argv
+            if rc == 2:
+                assert err.getvalue().startswith("config error:"), argv
+                assert not os.path.exists("o"), argv
+            elif verb == "run":  # each seed's files are written once
+                names = json.loads(Path("o/manifest.json").read_text())[
+                    "artifacts"]
+                assert len(set(names)) == len(names), argv
+        finally:
+            os.chdir(cwd)
+
+
+def test_cover_counts_nothing_at_an_eps_whose_square_overflows(tmp_path):
+    path = write_config(tmp_path, base_config(T=64, grid_eps=1 / 64))
+    reps = []
+    for eps in ("1e-200,0.5,0.25", "0.5,0.25"):
+        out = tmp_path / eps
+        assert cli.main(["cover", path, "--out", str(out), "--eps", eps]) == 0
+        reps.append(json.loads((out / "cover.json").read_text()))
+    assert reps[0]["counts"] == [0] + reps[1]["counts"]
 
 
 def test_cover_fit_refuses_a_bad_rung_before_its_directory(tmp_path):

@@ -435,6 +435,8 @@ def test_pricing_value_from_cdf_uniform():
     ("uniform", {"a": 0.9, "b": 0.2}, "non-monotone"),
     ("target", {"a": 0.6, "b": 0.5}, "non-monotone"),
     ("beta", {}, "unknown value distribution"),
+    ("target", {"a": 0.25, "b": 0.5, "zz": 1},
+     r"unknown keys \['zz'\] in env.values"),
 ])
 def test_pricing_env_checks_its_values_at_construction(kind, params, reason):
     with pytest.raises(ValueError, match=reason):

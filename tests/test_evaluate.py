@@ -311,6 +311,13 @@ def test_eps_ladder_strictly_past_threshold():
     assert eps_ladder_times(0.01, 100) == []  # starts past the horizon
 
 
+def test_eps_ladder_of_an_eps_whose_square_overflows_is_empty():
+    # eps**-2 overflows a float below about 7.5e-155: t0 is past any T
+    for eps in (5e-324, 1e-200, 7.4e-155):
+        assert eps_ladder_times(eps, 2**62) == []
+    assert eps_ladder_times(1e-154, 2**62) == []  # t0 ~ 1.1e307
+
+
 def test_eps_optimal_set_threshold_above_one_takes_all():
     env = det_env(([0, 0.49, 0.51, 1], [1.0, 1.0, 0.0, 0.0]))
     grid = grid_points(1, 1 / 8)
