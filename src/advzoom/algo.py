@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,8 +45,7 @@ SELECT_BLOCK = 256  # rounds of selection uniforms drawn at once (2 KiB)
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParamValues:
+class ParamValues(NamedTuple):
     beta: float
     beta_tilde: float
     gamma: float
@@ -320,10 +319,11 @@ def zoom_check(state: AlgState, pi: np.ndarray,
     the node's scale L under this round's pi, instantaneous
     beta_tilde + beta/pi <= e^L - 1 and aggregate 1/beta + S_conf <= t*L.
     Most rounds no node passes the first, so the second is skipped."""
-    ok = pv.beta_tilde + pv.beta / pi <= state.expm1_scale
-    if ok.any():
-        ok &= 1.0 / pv.beta + state.s_conf <= state.t * state.scale
-    return ok.nonzero()[0]
+    idx = (pv.beta_tilde + pv.beta / pi <= state.expm1_scale).nonzero()[0]
+    if idx.size:
+        idx = idx[1.0 / pv.beta + state.s_conf[idx]
+                  <= state.t * state.scale[idx]]
+    return idx
 
 
 def zoom_in(state: AlgState, zoom_idx: Sequence[int]) -> list:

@@ -631,7 +631,8 @@ def env_from_spec(spec: dict, T: int, seed: int):
     if kind == "pricing":
         _take(spec, {"kind", "values"}, "env")
         values = spec.get("values", {"kind": "uniform"})
-        _take(values, {"kind", "a", "b", "support"}, "env.values")
+        if not isinstance(values, dict):  # _value_law checks each law's keys
+            raise ValueError(f"env.values must be an object, got {values!r}")
         params = {k: v for k, v in values.items() if k != "kind"}
         return PricingEnv(values.get("kind", "uniform"), params, seed=seed)
     noise = _checked_noise(spec.get("noise", "bernoulli"))

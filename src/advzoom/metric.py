@@ -17,6 +17,7 @@ and product_grid, the grids of evaluation and of the fixed-grid baseline.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -323,6 +324,16 @@ class DoublingReport:
 _EXACT_LIMIT = 12  # exact minimum set cover only up to this many candidates
 
 
+def _grow(taken, cand, near):
+    """`taken` plus, repeatedly, the lowest candidate bit, keeping only the
+    candidates that near(bit) puts within reach of each bit taken."""
+    while cand:  # candidates only shrink: the lowest is the next taken
+        low = cand & -cand
+        taken |= low
+        cand &= near(low)
+    return taken
+
+
 def _half_diameter_sets(sub, half):
     """Each member's maximal diameter-<=half set, a bitmask over the rows of
     `sub`: from s, take the lowest member within `half` of all taken."""
@@ -331,14 +342,8 @@ def _half_diameter_sets(sub, half):
     rows = np.packbits(near, axis=1, bitorder="little")
     others = {1 << i: int.from_bytes(r.tobytes(), "little")
               for i, r in enumerate(rows)}
-    sets = []
-    for taken, cand in others.items():
-        while cand:  # candidates only shrink: the lowest is the next taken
-            low = cand & -cand
-            taken |= low
-            cand &= others[low]
-        sets.append(taken)
-    return sets
+    return [_grow(taken, cand, others.__getitem__)
+            for taken, cand in others.items()]
 
 
 def _ball_cover_count(dist, members):
@@ -364,17 +369,86 @@ def _ball_cover_count(dist, members):
     return greedy_count, True
 
 
+def _greedy_stays_within(ball, near, best):
+    """Whether _ball_cover_count's greedy count of `ball` (a bitmask over
+    point ids) is at most `best`, told as soon as the picks so far plus
+    the members still uncovered are at most `best`: each further pick
+    covers at least one new member, its own."""
+    uncovered, picked = ball, 0
+    while uncovered:
+        low = uncovered & -uncovered
+        uncovered &= ~_grow(low, near(low), near)
+        picked += 1
+        if picked + uncovered.bit_count() <= best:
+            return True
+    return False
+
+
 def doubling_constant(space: FiniteMetricSpace) -> DoublingReport:
     """Brute-force doubling constant of a small finite space.
 
     Every ball (all centers, all radii present in the distance matrix) must
-    be coverable by `value` sets of at most half the ball's diameter.  Greedy
-    covers make this an upper bound unless every ball admitted the exact
-    search; the report says which.
+    be coverable by `value` sets of at most half the ball's diameter: the
+    largest _ball_cover_count over the balls.  Greedy covers make this an
+    upper bound unless every ball admitted the exact search; the report
+    says which.
+
+    A center's balls are the prefixes of its row in stable sorted order
+    that end at the last tie of their radius, keyed by their bitmask over
+    point ids; their diameters are running maxima over the same prefixes.
+    Balls are visited largest first, and two bounds skip those that cannot
+    raise `best`, the largest count so far.  Both assume only that each
+    greedy step covers a new member (its own), so they hold for any greedy
+    that picks an uncovered member's set:
+    * a ball of m <= best members counts at most m.  It is exact too, so
+      no guard on `exact` is needed: while exact holds, best is at most
+      the candidates of one ball, at most _EXACT_LIMIT, and m members have
+      at most m candidates;
+    * once exact is False, a greedy with p picks and u members uncovered
+      ends at most at p + u, and the exact count is at most the greedy
+      one.  While exact holds the ball is counted in full, as more than
+      _EXACT_LIMIT candidates would end exactness.
     """
     dist = space.dist
-    balls = dict.fromkeys(tuple(np.flatnonzero(row <= r).tolist())
-                          for row in dist for r in np.unique(row))
-    covers = [_ball_cover_count(dist, list(b)) for b in balls if len(b) >= 2]
-    return DoublingReport(value=max([1] + [c for c, _ in covers]),
-                          exact=all(exact for _, exact in covers))
+    n = len(dist)
+    order = np.argsort(dist, axis=1, kind="stable")
+    srt = np.take_along_axis(dist, order, axis=1)
+    # prefix[c][k]: the mask of the first k points of c's sorted row
+    prefix = [list(itertools.accumulate((1 << j for j in row), int.__or__,
+                                        initial=0))
+              for row in order.tolist()]
+    # diam[c, k]: the diameter of the first k+1 points of c's sorted row,
+    # a running max of each point's largest distance to those before it
+    diam = np.empty((n, n))
+    for c, row in enumerate(order):
+        sub = dist[np.ix_(row, row)]
+        np.maximum.accumulate(
+            np.maximum.accumulate(sub, axis=1).diagonal(), out=diam[c])
+    # a ball of c ends where its radius is last tied; k >= 1 gives two or
+    # more members
+    ends = np.ones((n, n), dtype=bool)
+    ends[:, :-1] = srt[:, 1:] != srt[:, :-1]
+    ends[:, 0] = False
+    centers, lasts = ends.nonzero()
+    diam = diam.tolist()
+    balls = {prefix[c][k + 1]: diam[c][k]
+             for c, k in zip(centers.tolist(), lasts.tolist())}
+    srt = srt.tolist()
+    best, exact = 1, True
+    for ball in sorted(balls, key=int.bit_count, reverse=True):
+        if ball.bit_count() <= best:
+            break  # so are all balls after it
+        if not exact:
+            reach = balls[ball] / 2.0 + 1e-12
+
+            def near(bit):  # the ball's other members within reach of bit
+                j = bit.bit_length() - 1
+                k = bisect.bisect_right(srt[j], reach)
+                return prefix[j][k] & ball & ~bit
+
+            if _greedy_stays_within(ball, near, best):
+                continue
+        members = [j for j in range(n) if ball >> j & 1]
+        count, ball_exact = _ball_cover_count(dist, members)
+        best, exact = max(best, count), exact and ball_exact
+    return DoublingReport(value=best, exact=exact)

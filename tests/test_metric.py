@@ -517,3 +517,41 @@ def test_doubling_value_on_stratified_56_point_spaces(seed, value):
     x = (np.arange(56) + np.random.default_rng(seed).random(56)) / 56
     sp = FiniteMetricSpace(x.tolist(), np.abs(x[:, None] - x))
     assert doubling_constant(sp) == DoublingReport(value=value, exact=False)
+
+
+@pytest.mark.parametrize("seed,value", [(126704, 26), (126705, 24)])
+def test_doubling_value_on_held_out_56_point_spaces(seed, value):
+    # the same stratified spaces at the seeds of the benchmark's held-out
+    # run (base seed 7919): 56-member balls, wider than a 64-bit mask
+    x = (np.arange(56) + np.random.default_rng(seed).random(56)) / 56
+    sp = FiniteMetricSpace(x.tolist(), np.abs(x[:, None] - x))
+    assert doubling_constant(sp) == DoublingReport(value=value, exact=False)
+
+
+@pytest.mark.parametrize("n,value", [(100, 51), (200, 101)])
+def test_doubling_value_on_long_lines(n, value):
+    # the greedy's count on evenly spaced lines grows as n/2 + 1 (the true
+    # constant is 2), over balls up to 200 members wide
+    assert doubling_constant(line_space(n)) == DoublingReport(value, False)
+
+
+# tied-point seeds whose largest balls are exact while a smaller ball,
+# whose greedy count is within the largest count so far, has more than
+# _EXACT_LIMIT candidates: the greedy may stop early on such a ball only
+# once the report is already inexact, or the report would wrongly read exact
+EXACTNESS_ENDS_BELOW_THE_LARGEST_BALLS = [1029, 3036, 3634, 5002]
+# seeds of untied points where growing the skip's sets within half a
+# ball's radius, not half its diameter, skips a ball that raises the count
+RADIUS_IS_NOT_THE_DIAMETER = [51, 80]
+
+
+@pytest.mark.parametrize("seed,tied", [
+    *((s, True) for s in [*range(24), *EXACTNESS_ENDS_BELOW_THE_LARGEST_BALLS]),
+    *((s, False) for s in RADIUS_IS_NOT_THE_DIAMETER)])
+def test_doubling_constant_on_spaces_of_14_to_40_points(seed, tied):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(14, 41)), int(rng.integers(1, 4))
+    metric_of = euclid_dist if rng.integers(0, 2) else sup_dist
+    pts = tied_points(rng, n, d) if tied else rng.random((n, d))
+    sp = unit_space(metric_of(pts))
+    assert doubling_constant(sp) == doubling_reference(sp.dist)
