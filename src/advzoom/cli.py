@@ -398,6 +398,22 @@ _FLAG_KEYS = {
 }
 
 
+_LADDER_FLAGS = ("--horizons", "--eps", "--seeds")
+
+
+def _glued_ladders(argv: list) -> list:
+    """argv with each ladder flag and a value starting with one "-" joined
+    as --flag=value: argparse reads "-8,16,32" as an option, and the config
+    checks should name the bad rung."""
+    out = []
+    for arg in argv:
+        if (out and out[-1] in _LADDER_FLAGS and arg.startswith("-")
+                and not arg.startswith("--")):
+            arg = f"{out.pop()}={arg}"
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="advzoom",
@@ -417,7 +433,8 @@ def main(argv=None) -> int:
         if verb == "cover":
             p.add_argument("--eps", default=None,
                            help="comma-separated epsilon ladder")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glued_ladders(
+        sys.argv[1:] if argv is None else argv))
 
     try:
         overrides = {key: parse(getattr(args, key)) for key, parse in

@@ -166,6 +166,15 @@ def _gauss(u, mu, scale, out):
     return np.clip(u, 0.0, 1.0, out=out)
 
 
+def _gather(par, inst, out):
+    """par[:, inst] into out, gathered along out's contiguous axis (np.take
+    would copy a transposed out and write the copy back)."""
+    if out.flags.c_contiguous:
+        return np.take(par, inst, axis=1, out=out, mode="clip")
+    np.take(par.T, inst, axis=0, out=out.T, mode="clip")
+    return out
+
+
 def _single_reward(env, i: int, t: int, arm) -> float:
     """Reward of one arm at round t under instance i, equal to
     reward_block([t], [arm])[0, 0] bit for bit.
@@ -199,8 +208,8 @@ class RewardTable:
 
     Per-arm constants (means or Bernoulli thresholds, one column per
     instance; noise-counter hashes; prices) are computed once, here, and a
-    block's per-round ones once, by rounds(ts); fill then writes any run of
-    arms' rewards into caller buffers.  Noise is counter_hash(key, t, q) =
+    block's per-round ones once, by rounds(ts); fill then writes every arm's
+    rewards into caller buffers.  Noise is counter_hash(key, t, q) =
     splitmix64(r_t ^ splitmix64(q)), r_t = splitmix64(key ^ splitmix64(t)).
     Bernoulli compares the hash's top 53 bits k with ceil(mu 2^53): u =
     k 2^-53 < mu iff k < mu 2^53 (an exact scaling) iff k < ceil(mu 2^53).
@@ -225,14 +234,20 @@ class RewardTable:
         env, ts = self.env, np.asarray(ts, dtype=np.int64)
         if env.kind == "pricing":
             return env.value(ts), None
-        r = (None if env.noise == "none" else
-             splitmix64(env._key ^ splitmix64(ts.astype(np.uint64))))
+        r = None
+        if env.noise != "none":  # r_t, mixed in place through one scratch
+            r = ts.astype(np.uint64)
+            scratch = np.empty_like(r)
+            splitmix64(r, out=r, scratch=scratch)
+            r ^= env._key
+            splitmix64(r, out=r, scratch=scratch)
         return r, (None if env.schedule is None else env.schedule[ts - 1])
 
-    def fill(self, rounds, lo: int, hi: int, out, tmp):
-        """Rewards of arms lo:hi into out, float64 of shape (hi - lo, rounds),
-        with tmp a uint64 scratch of that shape."""
-        env, par, (r, inst) = self.env, self.par[lo:hi], rounds
+    def fill(self, rounds, out, tmp):
+        """Rewards of every arm into out, float64 of shape (n, rounds), with
+        tmp a uint64 scratch of that shape; either may be a transposed view,
+        and the bits written are the same in any layout."""
+        env, par, (r, inst) = self.env, self.par, rounds
         if env.kind == "pricing":
             np.less_equal(par, r, out=out)
             out *= par
@@ -241,25 +256,25 @@ class RewardTable:
             if inst is None:
                 np.copyto(out, par)
                 return out
-            return np.take(par, inst, axis=1, out=out, mode="clip")
+            return _gather(par, inst, out)
         h = out.view(np.uint64)
-        np.bitwise_xor(r, self.arm_hash[lo:hi], out=h)
+        np.bitwise_xor(r, self.arm_hash, out=h)
         np.right_shift(splitmix64(h, out=h, scratch=tmp), TOP53, out=h)
         if env.noise == "bernoulli":
             if inst is not None:  # each round's instance, from contiguous rows
-                par = np.take(par, inst, axis=1, out=tmp, mode="clip")
+                par = _gather(par, inst, tmp)
             return np.less(h, par, out=out)
         # Gaussian: u goes to tmp (numpy would copy a cast onto h's own
         # memory), which frees out for the means
         u = np.multiply(h, 2.0 ** -53, out=tmp.view(np.float64))
         if inst is not None:
-            par = np.take(par, inst, axis=1, out=out, mode="clip")
+            par = _gather(par, inst, out)
         return _gauss(u, par, env.noise_scale, out)
 
     def block(self, ts):
         """Rewards of every arm at rounds ts, shape (n, len(ts))."""
         shape = (self.n, len(ts))
-        return self.fill(self.rounds(ts), 0, self.n, np.empty(shape),
+        return self.fill(self.rounds(ts), np.empty(shape),
                          np.empty(shape, dtype=np.uint64))
 
 

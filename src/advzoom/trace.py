@@ -9,7 +9,6 @@ serialize to identical bytes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -109,42 +108,32 @@ class Trace:
     # -- CSV ---------------------------------------------------------------
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(TRACE_COLUMNS)
+        def lines():
             for r in self.rounds:
-                w.writerow(
-                    [
-                        r.t,
-                        r.node_id,
-                        ";".join(
-                            repr(float(x)) if isinstance(x, (int, float))
-                            else str(x)
-                            for x in r.arm
-                        ),
-                        repr(float(r.reward)),
-                        repr(float(r.beta)),
-                        repr(float(r.beta_tilde)),
-                        repr(float(r.gamma)),
-                        repr(float(r.eta)),
-                        r.n_active,
-                        "|".join(str(n) for n in r.zoomed),
-                    ]
-                )
+                arm = ";".join([repr(float(x)) if isinstance(x, (int, float))
+                                else str(x) for x in r.arm])
+                yield (f"{r.t},{r.node_id},{arm},{float(r.reward)!r},"
+                       f"{float(r.beta)!r},{float(r.beta_tilde)!r},"
+                       f"{float(r.gamma)!r},{float(r.eta)!r},{r.n_active},"
+                       f"{'|'.join(map(str, r.zoomed))}")
+        _write_csv(path, TRACE_COLUMNS, lines())
 
 
 def write_curves_csv(path, cum_reward, cum_best, regret, n_active) -> None:
     """Per-round curves: t (from 1), cum_reward, cum_best, regret, n_active."""
+    # a memoryview yields Python floats and ints, with no list of them made
+    cols = [memoryview(np.ascontiguousarray(c, dtype=np.float64))
+            for c in (cum_reward, cum_best, regret)]
+    _write_csv(path, ["t", "cum_reward", "cum_best", "regret", "n_active"], (
+        f"{t},{a!r},{b!r},{c!r},{int(k)}" for t, a, b, c, k in zip(
+            range(1, len(cum_reward) + 1), *cols,
+            memoryview(np.ascontiguousarray(n_active)))))
+
+
+def _write_csv(path, header, lines) -> None:
+    """The header and lines as csv.writer's default dialect writes them: no
+    field holds a comma, quote or line break, so none is quoted, and each
+    row ends in CRLF.  Lines are written as they are made."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "cum_reward", "cum_best", "regret", "n_active"])
-        for i in range(len(cum_reward)):
-            w.writerow(
-                [
-                    i + 1,
-                    repr(float(cum_reward[i])),
-                    repr(float(cum_best[i])),
-                    repr(float(regret[i])),
-                    int(n_active[i]),
-                ]
-            )
+        f.write(",".join(header) + "\r\n")
+        f.writelines(f"{line}\r\n" for line in lines)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import hashlib
 import io
 import json
@@ -22,6 +23,7 @@ from advzoom import cli, evaluate, metric
 from advzoom.cli import ExperimentConfig, load_config
 from advzoom.env import env_from_spec
 from advzoom.metric import FiniteMetricSpace
+from advzoom.trace import TRACE_COLUMNS
 
 
 TENT_D2 = {"kind": "distance_to_target", "target": [0.3, 0.6]}
@@ -182,6 +184,55 @@ def test_run_emit_curves_schema(tmp_path):
     assert len(lines) == 33
     first = lines[1].split(",")
     assert first[0] == "1" and first[4] == "1"
+
+
+def csv_writer_bytes(tmp_path, header, rows) -> bytes:
+    """Reference serialisation: the standard library's csv.writer."""
+    path = tmp_path / "reference.csv"
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+    return path.read_bytes()
+
+
+def trace_rows(trace):
+    """Trace rows as the csv.writer serialisation took them."""
+    return [[r.t, r.node_id,
+             ";".join(repr(float(x)) if isinstance(x, (int, float))
+                      else str(x) for x in r.arm),
+             repr(float(r.reward)), repr(float(r.beta)),
+             repr(float(r.beta_tilde)), repr(float(r.gamma)),
+             repr(float(r.eta)), r.n_active,
+             "|".join(str(n) for n in r.zoomed)] for r in trace.rounds]
+
+
+@pytest.mark.parametrize("name, over", [
+    ("d1", dict(T=300)),
+    ("d2", dict(space={"kind": "cube", "d": 2}, env=TENT_D2, T=300)),
+    ("exp3p", dict(algorithm="exp3p_uniform", T=300)),
+    ("anytime", dict(T=None, rounds=300)),
+])
+def test_csv_writers_equal_csv_writer_bytes(tmp_path, name, over):
+    raw = {k: v for k, v in base_config(**over).items() if v is not None}
+    trace, environment, _ = cli.run_one_seed(ExperimentConfig.from_dict(raw),
+                                             3)
+    # a round that zooms several nodes at once, next to rounds with none
+    trace.rounds[7] = replace(trace.rounds[7], zoomed=(4, 17, 123))
+    assert any(not r.zoomed for r in trace.rounds)
+    trace.write_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == csv_writer_bytes(
+        tmp_path, TRACE_COLUMNS, trace_rows(trace))
+
+    rep = evaluate.regret(trace, environment, grid_eps=0.125)
+    n_active = trace.n_active_curve()
+    cli.write_curves_csv(tmp_path / "curves.csv", rep.cum_alg, rep.cum_best,
+                         rep.regret_curve, n_active)
+    rows = [[i + 1, repr(float(a)), repr(float(b)), repr(float(c)), int(k)]
+            for i, (a, b, c, k) in enumerate(zip(
+                rep.cum_alg, rep.cum_best, rep.regret_curve, n_active))]
+    assert (tmp_path / "curves.csv").read_bytes() == csv_writer_bytes(
+        tmp_path, ["t", "cum_reward", "cum_best", "regret", "n_active"], rows)
 
 
 def test_run_anytime_mode(tmp_path):
@@ -539,6 +590,12 @@ def pricing_target(**values):
      "unknown keys ['target'] in env.instances[0]"),
     ("run", {"space": FINITE_3, "repr_policy": "center"}, [],
      "a finite space takes no repr_policy"),
+    ("sweep", {}, ["--horizons", "-8,16,32"],
+     "the horizon must be an int >= 1, got -8"),
+    ("cover", {}, ["--eps", "-0.5,0.25,0.125"],
+     "every cover eps must be finite and > 0: [-0.5, 0.25, 0.125]"),
+    ("run", {}, ["--seeds", "-1,2"],
+     "config.seeds must lie in [0, 2**64), got [-1, 2]"),
 ])
 def test_bad_config_exits_2_with_nothing_written(
         tmp_path, monkeypatch, capsys, verb, over, flags, reason):

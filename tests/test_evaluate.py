@@ -10,7 +10,8 @@ import pytest
 
 import advzoom
 from advzoom import algo, evaluate
-from advzoom.env import MeanFunction, PricingEnv, StochasticEnv, make_combined
+from advzoom.env import (MeanFunction, PricingEnv, RewardTable, StochasticEnv,
+                         make_combined)
 from advzoom.evaluate import (
     covering_count,
     dimension_fit,
@@ -220,8 +221,11 @@ BUMPS = [MeanFunction("baseline_bump",
                       {"peak": 1.0, "baseline": 0.0, "support": (0.55, 0.95)})]
 TENT_D2 = MeanFunction("distance_to_target",
                        {"peak": 0.8, "target": [GOLD, 1.0 - GOLD]})
-# 101 arms at d = 1 and 100 at d = 2: two arm chunks, the second partial
+# 101 arms at d = 1 and 100 at d = 2: narrow grids, summed one arm at a time
 GRID_D1, GRID_D2 = grid_points(1, 1 / 100), grid_points(2, 1 / 9)
+# at least _WIDE arms: wide grids, summed a round at a time across every arm
+WIDE_D1 = grid_points(1, 1 / evaluate._WIDE)
+WIDE_D2 = grid_points(2, 1 / math.isqrt(evaluate._WIDE))
 
 
 def stochastic(mean, noise):
@@ -252,6 +256,10 @@ REPLAY_CASES = {
 for _noise in ("bernoulli", "none", "gauss"):
     REPLAY_CASES[f"{_noise}_d1"] = (stochastic(BUMPS[0], _noise), GRID_D1)
     REPLAY_CASES[f"{_noise}_d2"] = (stochastic(TENT_D2, _noise), GRID_D2)
+# the same cases on wide grids: new ids, so the ones above keep theirs
+for _case, (_make, _grid) in list(REPLAY_CASES.items()):
+    REPLAY_CASES[f"{_case}_wide"] = (_make,
+                                     WIDE_D2 if _grid is GRID_D2 else WIDE_D1)
 
 
 @pytest.mark.parametrize("T", [1, BLOCK - 3, BLOCK, 2 * BLOCK + 1])
@@ -272,10 +280,32 @@ def test_blocked_replay_is_bit_identical_to_one_pass(case, T):
 @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
 def test_blocked_replay_is_bit_identical_under_a_second_block_shape(
         case, T, monkeypatch):
-    # odd chunks and blocks: partial ones everywhere, edges off the phases
-    monkeypatch.setattr(evaluate, "_CHUNK", 5)
-    monkeypatch.setattr(evaluate, "_BLOCK", 97)
-    test_blocked_replay_is_bit_identical_to_one_pass(case, T)
+    # an odd cell count: no block fills its buffer, and block edges fall
+    # off the phases; each grid is summed in both layouts
+    monkeypatch.setattr(evaluate, "_CELLS", 9701)
+    for wide in (1, len(REPLAY_CASES[case][1]) + 1):  # wide, then narrow
+        monkeypatch.setattr(evaluate, "_WIDE", wide)
+        test_blocked_replay_is_bit_identical_to_one_pass(case, T)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_replay_sums_a_round_at_a_time_from_the_wide_threshold(
+        wide, monkeypatch):
+    # fill gets arms x rounds either way: a view of a rounds-major block
+    # (arms contiguous) on a wide grid, an arms-major one on a narrow grid
+    n = evaluate._WIDE - 1 + wide
+    grid = (np.arange(n) / n).reshape(-1, 1)
+    fill, strides = RewardTable.fill, []
+
+    def spy(self, rounds, out, tmp):
+        strides.append(out.strides)
+        return fill(self, rounds, out, tmp)
+
+    monkeypatch.setattr(RewardTable, "fill", spy)
+    T = 3 * (evaluate._CELLS // n) + 5  # four blocks, the last partial
+    evaluate._replay(stochastic(BUMPS[0], "bernoulli")(T), grid, T)
+    assert len(strides) == 4
+    assert all((s[0] < s[1]) == wide for s in strides)
 
 
 def test_replay_memory_does_not_grow_with_the_horizon():
