@@ -88,6 +88,8 @@ def _replay(env, grid: np.ndarray, T: int, checkpoints=None):
     round of every arm) whatever T is.
     """
     n = len(grid)
+    if n == 0:
+        raise ValueError("empty evaluation grid: no arm to replay")
     cum_best = np.full(T, -np.inf)
     cps = np.asarray([T] if checkpoints is None else checkpoints, dtype=int)
     totals = np.zeros((n, len(cps)))

@@ -11,8 +11,9 @@ Two hierarchies are provided:
 Nodes of both hierarchies answer `scale` (cube diameter, ball radius) and
 `children` (the nodes one level down), which is all the zooming learner asks
 of them.  Plus the covering utilities: one greedy net (the DAG's levels
-here, evaluate's cover counts) and a brute-force doubling-constant estimate;
-and product_grid, the grids of evaluation and of the fixed-grid baseline.
+here, evaluate's cover counts) and a brute-force doubling-constant estimate,
+whose one greedy cover of a ball is _ball_cover_count; and product_grid,
+the grids of evaluation and of the fixed-grid baseline.
 """
 
 from __future__ import annotations
@@ -195,12 +196,15 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_file(cls, path):
-        """Load from text: first line n, then n rows of n distances; the
-        points are 0..n-1."""
+        """Load from text: first line n >= 1, then n rows of n distances;
+        the points are 0..n-1."""
         with open(path) as f:
             tokens = f.read().split()
         if not tokens:
             raise ValueError(f"{path}: empty file")
+        if not tokens[0].isdecimal() or int(tokens[0]) < 1:
+            raise ValueError(f"{path}: the point count must be an int >= 1, "
+                             f"got {tokens[0]!r}")
         n = int(tokens[0])
         vals = [float(v) for v in tokens[1:]]
         if len(vals) != n * n:
@@ -334,82 +338,45 @@ def _grow(taken, cand, near):
     return taken
 
 
-def _half_diameter_sets(sub, half):
-    """Each member's maximal diameter-<=half set, a bitmask over the rows of
-    `sub`: from s, take the lowest member within `half` of all taken."""
-    near = sub <= half + 1e-12
-    np.fill_diagonal(near, False)
-    rows = np.packbits(near, axis=1, bitorder="little")
-    others = {1 << i: int.from_bytes(r.tobytes(), "little")
-              for i, r in enumerate(rows)}
-    return [_grow(taken, cand, others.__getitem__)
-            for taken, cand in others.items()]
-
-
-def _ball_cover_count(dist, members):
-    """(count, exact) for covering `members` (ascending) by sets of at most
-    half their diameter: exact minimum cover over the distinct grown sets
-    when there are at most _EXACT_LIMIT of them, else the greedy count."""
-    sub = dist[np.ix_(members, members)]
-    grown = _half_diameter_sets(sub, float(sub.max()) / 2.0)
-    candidates = list(dict.fromkeys(grown))
-    # greedy: the grown set of each still-uncovered member, lowest first
-    full = uncovered = (1 << len(members)) - 1
-    greedy_count = 0
-    for i, g in enumerate(grown):
-        if uncovered >> i & 1:
-            uncovered &= ~g
-            greedy_count += 1
-    if len(candidates) > _EXACT_LIMIT:
-        return greedy_count, False
-    for k in range(1, min(greedy_count, len(candidates) + 1)):
-        for combo in itertools.combinations(candidates, k):
-            if functools.reduce(int.__or__, combo) == full:
-                return k, True
-    return greedy_count, True
-
-
-def _greedy_stays_within(ball, near, best):
-    """Whether _ball_cover_count's greedy count of `ball` (a bitmask over
-    point ids) is at most `best`, told as soon as the picks so far plus
-    the members still uncovered are at most `best`: each further pick
-    covers at least one new member, its own."""
-    uncovered, picked = ball, 0
+def _ball_cover_count(ball, near, best=None):
+    """(count, exact) for covering `ball`, a bitmask over point ids, by sets
+    of at most half its diameter; near(bit) masks the ball's other members
+    within that of bit.  The greedy takes the _grow'n set of the lowest
+    uncovered member until none is left; the count is the exact minimum
+    cover over the distinct grown sets when there are at most _EXACT_LIMIT,
+    else the greedy count.  Given `best`, None as soon as the greedy count
+    is known to be at most `best` (see doubling_constant)."""
+    uncovered, count = ball, 0
     while uncovered:
         low = uncovered & -uncovered
         uncovered &= ~_grow(low, near(low), near)
-        picked += 1
-        if picked + uncovered.bit_count() <= best:
-            return True
-    return False
+        count += 1
+        if best is not None and count + uncovered.bit_count() <= best:
+            return None
+    # the picks are distinct candidates: each holds its own member, which
+    # no earlier pick covered
+    if count > _EXACT_LIMIT:
+        return count, False
+    candidates, rest = set(), ball
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        candidates.add(_grow(low, near(low), near))
+        if len(candidates) > _EXACT_LIMIT:
+            return count, False
+    for k in range(1, count):
+        for combo in itertools.combinations(candidates, k):
+            if functools.reduce(int.__or__, combo) == ball:
+                return k, True
+    return count, True
 
 
-def doubling_constant(space: FiniteMetricSpace) -> DoublingReport:
-    """Brute-force doubling constant of a small finite space.
-
-    Every ball (all centers, all radii present in the distance matrix) must
-    be coverable by `value` sets of at most half the ball's diameter: the
-    largest _ball_cover_count over the balls.  Greedy covers make this an
-    upper bound unless every ball admitted the exact search; the report
-    says which.
-
-    A center's balls are the prefixes of its row in stable sorted order
-    that end at the last tie of their radius, keyed by their bitmask over
-    point ids; their diameters are running maxima over the same prefixes.
-    Balls are visited largest first, and two bounds skip those that cannot
-    raise `best`, the largest count so far.  Both assume only that each
-    greedy step covers a new member (its own), so they hold for any greedy
-    that picks an uncovered member's set:
-    * a ball of m <= best members counts at most m.  It is exact too, so
-      no guard on `exact` is needed: while exact holds, best is at most
-      the candidates of one ball, at most _EXACT_LIMIT, and m members have
-      at most m candidates;
-    * once exact is False, a greedy with p picks and u members uncovered
-      ends at most at p + u, and the exact count is at most the greedy
-      one.  While exact holds the ball is counted in full, as more than
-      _EXACT_LIMIT candidates would end exactness.
-    """
-    dist = space.dist
+def _balls(dist):
+    """(ball, near) for every distinct ball of two or more points, largest
+    first, as _ball_cover_count takes them.  A center's balls are the
+    prefixes of its row in stable sorted order that end at the last tie of
+    their radius; their diameters are running maxima over the same
+    prefixes."""
     n = len(dist)
     order = np.argsort(dist, axis=1, kind="stable")
     srt = np.take_along_axis(dist, order, axis=1)
@@ -434,21 +401,41 @@ def doubling_constant(space: FiniteMetricSpace) -> DoublingReport:
     balls = {prefix[c][k + 1]: diam[c][k]
              for c, k in zip(centers.tolist(), lasts.tolist())}
     srt = srt.tolist()
-    best, exact = 1, True
     for ball in sorted(balls, key=int.bit_count, reverse=True):
+        def near(bit, ball=ball, reach=balls[ball] / 2.0 + 1e-12):
+            j = bit.bit_length() - 1
+            return prefix[j][bisect.bisect_right(srt[j], reach)] & ball & ~bit
+        yield ball, near
+
+
+def doubling_constant(space: FiniteMetricSpace) -> DoublingReport:
+    """Brute-force doubling constant of a small finite space.
+
+    Every ball (all centers, all radii present in the distance matrix) must
+    be coverable by `value` sets of at most half the ball's diameter: the
+    largest _ball_cover_count over the balls.  Greedy covers make this an
+    upper bound unless every ball admitted the exact search; the report
+    says which.
+
+    Balls are visited largest first, and two bounds skip those that cannot
+    raise `best`, the largest count so far.  Both assume only that each
+    greedy step covers a new member (its own), so they hold for any greedy
+    that picks an uncovered member's set:
+    * a ball of m <= best members counts at most m.  It is exact too, so
+      no guard on `exact` is needed: while exact holds, best is at most
+      the candidates of one ball, at most _EXACT_LIMIT, and m members have
+      at most m candidates;
+    * once exact is False, a greedy with p picks and u members uncovered
+      ends at most at p + u, and the exact count is at most the greedy
+      one.  While exact holds the ball is counted in full, as more than
+      _EXACT_LIMIT candidates would end exactness.
+    """
+    best, exact = 1, True
+    for ball, near in _balls(space.dist):
         if ball.bit_count() <= best:
             break  # so are all balls after it
-        if not exact:
-            reach = balls[ball] / 2.0 + 1e-12
-
-            def near(bit):  # the ball's other members within reach of bit
-                j = bit.bit_length() - 1
-                k = bisect.bisect_right(srt[j], reach)
-                return prefix[j][k] & ball & ~bit
-
-            if _greedy_stays_within(ball, near, best):
-                continue
-        members = [j for j in range(n) if ball >> j & 1]
-        count, ball_exact = _ball_cover_count(dist, members)
-        best, exact = max(best, count), exact and ball_exact
+        counted = _ball_cover_count(ball, near, None if exact else best)
+        if counted is not None:
+            count, ball_exact = counted
+            best, exact = max(best, count), exact and ball_exact
     return DoublingReport(value=best, exact=exact)

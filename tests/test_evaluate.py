@@ -94,6 +94,18 @@ def test_regret_guard_on_grid_size():
         regret(tr, env, grid_eps=1e-5)
 
 
+def test_an_empty_grid_is_named_by_every_replay_caller():
+    env = det_env(([0, 1], [0.5, 0.5]))
+    empty = np.zeros((0, 1))
+    assert eps_ladder_times(0.1, 64)  # so eps_optimal_set replays
+    with pytest.raises(ValueError, match="empty evaluation grid"):
+        regret(synthetic_trace([0.5] * 5), env, grid=empty)
+    with pytest.raises(ValueError, match="empty evaluation grid"):
+        gaps_at(env, empty, [5])
+    with pytest.raises(ValueError, match="empty evaluation grid"):
+        eps_optimal_set(env, empty, [0.1], 64)
+
+
 def old_cli_grid_eps(d, T):
     """The CLI's coarsening loop before grid_eps_for owned it (reference)."""
     eps = 1.0 / 1024 if d == 1 else 1.0 / 64

@@ -17,6 +17,7 @@ from advzoom.metric import (
     DoublingReport,
     FiniteMetricSpace,
     _ball_cover_count,
+    _balls,
     build_zooming_dag,
     cube_children,
     cube_level,
@@ -122,6 +123,11 @@ def distinct_balls(dist):
             if len(members) >= 2:
                 balls[members] = None
     return list(balls)
+
+
+def members_of(mask):
+    """The point ids of a bitmask, ascending."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 # -- cube tree ---------------------------------------------------------------
@@ -252,6 +258,16 @@ def test_space_from_file(tmp_path):
     bad.write_text("3\n0 1\n")
     with pytest.raises(ValueError, match="expected 9"):
         FiniteMetricSpace.from_file(bad)
+
+
+@pytest.mark.parametrize("count", ["0", "-1", "-2", "2.5", "1e9", "abc"])
+def test_space_from_file_names_a_bad_point_count(tmp_path, count):
+    path = tmp_path / "space.txt"
+    path.write_text(f"{count}\n0 1\n1 0\n")
+    with pytest.raises(ValueError) as err:
+        FiniteMetricSpace.from_file(path)
+    assert str(err.value) == (f"{path}: the point count must be an int "
+                              f">= 1, got {count!r}")
 
 
 def test_greedy_cover_two_points():
@@ -433,9 +449,14 @@ def assert_doubling_matches_the_reference(dist):
     """Every ball's count and the report, on the space of `dist` rescaled
     to diameter <= 1."""
     sp = unit_space(dist)
-    for members in distinct_balls(sp.dist):
-        assert (_ball_cover_count(sp.dist, list(members))
-                == ball_cover_count_reference(sp.dist, list(members)))
+    balls = list(_balls(sp.dist))
+    members = [members_of(ball) for ball, _ in balls]
+    assert sorted(members) == sorted(distinct_balls(sp.dist))
+    sizes = [len(m) for m in members]
+    assert sizes == sorted(sizes, reverse=True)
+    for (ball, near), m in zip(balls, members):
+        assert (_ball_cover_count(ball, near)
+                == ball_cover_count_reference(sp.dist, list(m)))
     expected = doubling_reference(sp.dist)
     assert doubling_constant(sp) == expected
     return expected
@@ -473,7 +494,9 @@ def test_ball_cover_counts_beyond_one_machine_word():
     # the whole ball of 70 evenly spaced points: more than _EXACT_LIMIT
     # candidates, so the greedy count stands
     dist = line_space(70).dist
-    got = _ball_cover_count(dist, list(range(70)))
+    ball, near = next(_balls(dist))
+    assert ball == (1 << 70) - 1
+    got = _ball_cover_count(ball, near)
     assert got == ball_cover_count_reference(dist, list(range(70)))
     assert got[1] is False
 
@@ -483,16 +506,47 @@ def test_each_members_grown_set_matches_the_reference():
         rng = np.random.default_rng(40 + d)
         for _ in range(10):
             dist = sup_dist(tied_points(rng, int(rng.integers(2, 21)), d))
-            for members in distinct_balls(dist):
-                sub = dist[np.ix_(members, members)]
-                half = float(sub.max()) / 2.0
-                grown = metric._half_diameter_sets(sub, half)
-                assert len(grown) == len(members)
-                for p, mask in zip(members, grown):
-                    got = {q for i, q in enumerate(members) if mask >> i & 1}
+            for ball, near in _balls(dist):
+                members = members_of(ball)
+                half = float(dist[np.ix_(members, members)].max()) / 2.0
+                for p in members:
+                    bit = 1 << p
+                    mask = metric._grow(bit, near(bit), near)
                     want = _grow_half_diameter_set(dist, members, p, half)
-                    assert got == want
-                    assert mask >> len(members) == 0
+                    assert set(members_of(mask)) == want
+
+
+def greedy_count_reference(dist, members):
+    """The reference's greedy count: the grown set of the lowest uncovered
+    member, taken until none is left."""
+    half = float(dist[np.ix_(members, members)].max()) / 2.0
+    uncovered, count = set(members), 0
+    while uncovered:
+        p = min(uncovered)
+        uncovered -= _grow_half_diameter_set(dist, members, p, half)
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("euclid", [False, True])
+def test_the_early_stop_is_none_exactly_when_the_greedy_is_within_best(
+        euclid):
+    # given best, _ball_cover_count answers None exactly when the greedy
+    # count is at most best, and otherwise the full count, exact or not
+    rng = np.random.default_rng(50 + euclid)
+    metric_of = euclid_dist if euclid else sup_dist
+    spaces = [unit_space(metric_of(tied_points(
+        rng, int(rng.integers(2, 25)), int(rng.integers(1, 4)))))
+        for _ in range(12)]
+    for sp in [*spaces, line_space(26)]:
+        for ball, near in _balls(sp.dist):
+            members = list(members_of(ball))
+            greedy = greedy_count_reference(sp.dist, members)
+            full = ball_cover_count_reference(sp.dist, members)
+            for best in range(1, greedy + 1):
+                got = _ball_cover_count(ball, near, best)
+                assert (got is None) == (greedy <= best)
+                assert got is None or got == full
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
