@@ -33,11 +33,10 @@ from .metric import (
     cube_level,
     representative,
 )
-from .rng import stream_key, uniform
+from .rng import ROUND_BLOCK, stream_key, uniform
 from .trace import NodeMeta, RoundRecord, Trace
 
 SELECT_STREAM = "algo.select"
-SELECT_BLOCK = 256  # rounds of selection uniforms drawn at once (2 KiB)
 
 
 # --------------------------------------------------------------------------
@@ -281,12 +280,12 @@ def distribution(state: AlgState, pv: ParamValues) -> np.ndarray:
 def select(state: AlgState, pi: np.ndarray):
     """Inverse-CDF draw on the round-keyed uniform; cumulative sums follow
     activation order, which fixes tie-breaking deterministically.  The
-    uniforms are drawn SELECT_BLOCK rounds at a time from any t >= 1, by
-    rng.uniform's array path, which equals the scalar draw bit for bit."""
+    uniforms are drawn ROUND_BLOCK rounds at a time from any t >= 1, and
+    each equals the draw of its round alone bit for bit."""
     t = state.t
     if not 0 <= t - state._u_lo < len(state._u):
         state._u_lo = t
-        n = min(SELECT_BLOCK, state.T)
+        n = min(ROUND_BLOCK, state.T)
         state._u = uniform(state.select_key, np.arange(t, t + n)).tolist()
     u = state._u[t - state._u_lo]
     idx = int(pi.cumsum().searchsorted(u, side="right"))

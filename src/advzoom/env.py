@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .rng import TOP53, _mix, splitmix64, stream_key, uniform
+from .rng import ROUND_BLOCK, TOP53, _mix, splitmix64, stream_key, uniform
 
 QUANT_BITS = 40  # arm quantization for the noise counter
 NOISE_KINDS = ("bernoulli", "none", "gauss")
@@ -415,8 +415,7 @@ def make_combined(means: list, schedule, subsets: list, baselines: list,
 def _value_law(kind: str, params: dict):
     """(inverse CDF, mean revenue x Pr[v >= x]) of a private-value
     distribution, its parameters checked and parsed once.  The inverse CDF
-    takes an array u or a float, which gets the same IEEE operations on
-    Python floats and so the array path's bits.
+    maps an array u elementwise.
 
     uniform: values on [a, b].
 
@@ -462,8 +461,6 @@ def _value_law(kind: str, params: dict):
     m0, f_hi, hi = (b - a) / b, 2.0 - (a + b) / hi, float(hi)
 
     def value(u):
-        if isinstance(u, float):  # min(u, f_hi) is u where it is used
-            return 0.0 if u < m0 else (a + b) / (2.0 - u) if u <= f_hi else hi
         mid = (a + b) / (2.0 - np.minimum(u, f_hi))
         return np.where(u < m0, 0.0, np.where(u <= f_hi, mid, hi))
     return value, lambda xs: np.where(
@@ -473,9 +470,9 @@ def _value_law(kind: str, params: dict):
 class PricingEnv:
     """Posted-price environment: reward x * 1{x <= v_t}.
 
-    Private values v_t = value(t) are drawn on demand from (seed, t) alone;
-    every realization satisfies the one-sided condition
-    g_t(x) - g_t(x') <= x - x' for x > x' by construction.
+    Private values v_t = value(t) are drawn from (seed, t) alone, and reward
+    reads them ROUND_BLOCK rounds at a time from any t; every realization
+    satisfies g_t(x) - g_t(x') <= x - x' for x > x' by construction.
     """
 
     kind = "pricing"
@@ -486,11 +483,10 @@ class PricingEnv:
         self._value_of, self._revenue = _value_law(value_kind,
                                                    value_params or {})
         self._key = stream_key(seed, "env.values")
+        self._lo, self._values = 0, []  # values of rounds _lo, _lo + 1, ...
 
     def value(self, t) -> np.ndarray:
-        """Private value of round t: a float for an int t, else an array."""
-        if isinstance(t, int):
-            return self._value_of(float(uniform(self._key, t)))
+        """Private values of the rounds t, elementwise."""
         return self._value_of(uniform(self._key, np.asarray(t, dtype=np.int64)))
 
     def mean_at(self, t: int, xs) -> np.ndarray:
@@ -500,7 +496,10 @@ class PricingEnv:
 
     def reward(self, t: int, arm) -> float:
         x = float(arm[0] if isinstance(arm, tuple) else np.ravel(arm)[0])
-        return x if x <= self.value(t) else 0.0
+        if not 0 <= t - self._lo < len(self._values):
+            self._lo = t
+            self._values = self.value(np.arange(t, t + ROUND_BLOCK)).tolist()
+        return x if x <= self._values[t - self._lo] else 0.0
 
     def reward_block(self, ts, xs) -> np.ndarray:
         return RewardTable(self, xs).block(ts)
@@ -604,9 +603,18 @@ def _mean_from_spec(spec: dict, where: str = "env") -> MeanFunction:
             if not isinstance(spec["path"], str):
                 raise ValueError(f"{where}.path must be a string, "
                                  f"got {spec['path']!r}")
+            pts = []
             with open(spec["path"]) as f:
-                pts = [(float(x), float(y))
-                       for x, y in filter(None, csv.reader(f))]
+                rows = csv.reader(f)
+                for row in filter(None, rows):
+                    try:
+                        x, y = map(float, row)
+                    except ValueError:
+                        raise ValueError(
+                            f"{spec['path']}: line {rows.line_num} must be "
+                            f"x,mu (two numbers), got {','.join(row)!r}"
+                        ) from None
+                    pts.append((x, y))
         else:
             pts = spec["points"]
             if not (isinstance(pts, list) and all(

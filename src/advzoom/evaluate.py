@@ -36,8 +36,8 @@ def grid_points(d: int, eps: float) -> np.ndarray:
     Points are exact quotients k/m, so nested grids (m and 10m, say) share
     points bit-for-bit and replayed rewards agree exactly.
     """
-    if eps <= 0:
-        raise ValueError("grid_eps must be positive")
+    if not 0 < eps < 2:  # exactly where round(1/eps) >= 1
+        raise ValueError(f"grid_eps must be in (0, 2), got {eps!r}")
     m = int(round(1.0 / eps))
     return product_grid(np.arange(m + 1, dtype=np.float64) / m, d)
 

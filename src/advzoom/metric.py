@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -161,6 +162,9 @@ class FiniteMetricSpace:
             raise ValueError("empty metric space")
         if dist.shape != (n, n):
             raise ValueError(f"distance matrix shape {dist.shape} != ({n}, {n})")
+        if not np.isfinite(dist).all():
+            i, j = np.argwhere(~np.isfinite(dist))[0]
+            raise ValueError(f"distance ({i}, {j}) is {dist[i, j]}, not finite")
         if np.any(dist < 0):
             raise ValueError("negative distances")
         if np.any(np.diag(dist) != 0):
@@ -206,7 +210,16 @@ class FiniteMetricSpace:
             raise ValueError(f"{path}: the point count must be an int >= 1, "
                              f"got {tokens[0]!r}")
         n = int(tokens[0])
-        vals = [float(v) for v in tokens[1:]]
+        vals = []
+        for k, tok in enumerate(tokens[1:]):
+            try:
+                vals.append(float(tok))
+            except ValueError:
+                vals.append(math.nan)
+            if not math.isfinite(vals[-1]):
+                raise ValueError(f"{path}: distance {k + 1} (row {k // n + 1}, "
+                                 f"column {k % n + 1}) must be a finite "
+                                 f"number, got {tok!r}")
         if len(vals) != n * n:
             raise ValueError(f"{path}: expected {n * n} distances, got {len(vals)}")
         return cls(list(range(n)), np.array(vals).reshape(n, n))

@@ -9,12 +9,8 @@ bit-reproducible from (config, seed).
 
 Streams are separated by hashing an ASCII tag (FNV-1a) into the key, so the
 selection stream, the reward-noise stream, and the pricing-value stream never
-collide even under equal seeds.
-
-`uniform` on a scalar key and two scalar integer counters runs splitmix64
-on Python ints (`_mix`), which skips numpy's per-call array set-up on single
-draws such as a pricing round's value.  It computes the same function as the
-array path, bit for bit, and returns an np.float64.
+collide even under equal seeds.  Per-round draws (selection uniforms,
+pricing values) are taken ROUND_BLOCK rounds at a time.
 """
 
 from __future__ import annotations
@@ -26,9 +22,9 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 TOP53 = np.uint64(11)  # right shift to a hash's top 53 bits
+ROUND_BLOCK = 256  # rounds of per-round draws taken at once (2 KiB)
 
 _M64 = (1 << 64) - 1
-_INTS = (int, np.integer)
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -82,12 +78,8 @@ def counter_hash(key, a, b=0):
 
 
 def uniform(key, a, b=0):
-    """Uniform float64 in [0, 1) keyed by (key, a, b), elementwise."""
-    if (isinstance(key, _INTS) and isinstance(a, _INTS)
-            and isinstance(b, _INTS)):
-        # counter_hash on Python ints; integers wrap modulo 2**64 as in uint64
-        h = _mix(_mix(int(key) ^ _mix(int(a) & _M64)) ^ _mix(int(b) & _M64))
-        return np.float64((h >> 11) * 2.0 ** -53)
+    """Uniform float64 in [0, 1) keyed by (key, a, b), elementwise.  Python
+    int counters must lie in [0, 2**64); numpy integers wrap modulo 2**64."""
     # top 53 bits -> [0, 1) with full double precision; the shift is in
     # place, and the floats are the one new array (a cast onto the hash's
     # own memory would be copied by numpy first)

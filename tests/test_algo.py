@@ -9,7 +9,7 @@ from advzoom import algo, evaluate
 from advzoom.algo import AlgoConfig, ParamValues
 from advzoom.env import MeanFunction, StochasticEnv, env_from_spec
 from advzoom.metric import FiniteMetricSpace
-from advzoom.rng import uniform
+from advzoom.rng import ROUND_BLOCK, uniform
 from advzoom.trace import RoundRecord, Trace
 from conftest import tent_mean
 
@@ -202,7 +202,7 @@ def test_select_single_and_degenerate():
 
 
 def test_select_draws_the_scalar_uniform_of_its_round():
-    T, B = 3000, algo.SELECT_BLOCK
+    T, B = 3000, ROUND_BLOCK
     st = algo.init(1, T, AlgoConfig(seed=7))
     algo.zoom_in(st, [0])  # two nodes
     # window edges, the horizon and past it, then backwards

@@ -536,7 +536,7 @@ def pricing_target(**values):
     ("run", {"env": {"kind": "custom_table"}}, [],
      "env takes points or path, one of the two"),
     ("run", {"env": {"kind": "custom_table", "path": "bad.txt"}}, [],
-     "not enough values to unpack"),
+     "bad.txt: line 1 must be x,mu (two numbers), got '3'"),
     ("run", {"env": pricing_target(support=[0.7, 0.6])}, [],
      "env.values.support must be two numbers lo < hi, got [0.7, 0.6]"),
     ("run", {"env": {"kind": "pricing", "values": {"support": [0.1, 0.9]}}},
@@ -596,6 +596,18 @@ def pricing_target(**values):
      "every cover eps must be finite and > 0: [-0.5, 0.25, 0.125]"),
     ("run", {}, ["--seeds", "-1,2"],
      "config.seeds must lie in [0, 2**64), got [-1, 2]"),
+    ("run", {"space": {"kind": "finite", "path": "zz.txt"}}, [],
+     "zz.txt: distance 6 (row 2, column 3) must be a finite number, got 'zz'"),
+    ("run", {"space": {"kind": "finite", "path": "nan.txt"}}, [],
+     "nan.txt: distance 6 (row 2, column 3) must be a finite number, "
+     "got 'nan'"),
+    ("run", {"space": {"kind": "finite", "path": "inf.txt"}}, [],
+     "inf.txt: distance 6 (row 2, column 3) must be a finite number, "
+     "got 'inf'"),
+    ("run", {"env": {"kind": "custom_table", "path": "three.csv"}}, [],
+     "three.csv: line 2 must be x,mu (two numbers), got '1,0.7,0.2'"),
+    ("run", {"env": {"kind": "custom_table", "path": "x.csv"}}, [],
+     "x.csv: line 2 must be x,mu (two numbers), got 'x,0.7'"),
 ])
 def test_bad_config_exits_2_with_nothing_written(
         tmp_path, monkeypatch, capsys, verb, over, flags, reason):
@@ -603,6 +615,11 @@ def test_bad_config_exits_2_with_nothing_written(
     monkeypatch.chdir(tmp_path)
     (tmp_path / "space3.txt").write_text("3\n0 1 1\n1 0 1\n1 1 0\n")
     (tmp_path / "bad.txt").write_text("3\n0 1 1\n1 0 1\n")
+    for token in ("zz", "nan", "inf"):
+        (tmp_path / f"{token}.txt").write_text(
+            f"3\n0 1 1\n1 0 {token}\n1 {token} 0\n")
+    (tmp_path / "three.csv").write_text("0,0.3\n1,0.7,0.2\n")
+    (tmp_path / "x.csv").write_text("0,0.3\nx,0.7\n")
     raw = [base_config()] if over is None else base_config(**over)
     path = write_config(tmp_path, raw)
     out = tmp_path / "o"
@@ -828,6 +845,10 @@ RUN_TREE_SHA256 = {
         "5df186cf4b4933a57278a6ffdc51609f2ae0b91b36b4ac809ca678333f8627a0",
     "finite":
         "c55a896a115ab9c38b1dd6747990a3302c27929d8076d82b31ea3b3c569656e2",
+    "pricing_target":
+        "23d8d7ca40d8957065332674685347068adca62a5f3202a6a500045a73fd5780",
+    "anytime_pricing":
+        "edd69f5b45ba9539e85173cf132f3ae371174075b33513ff913b8462ccb59fe0",
 }
 # a six-point line at spacing 1/5, and a space spec reading it relative to
 # the run's working directory, so the manifest names no temporary path
@@ -850,6 +871,12 @@ FINITE_6 = {"kind": "finite", "path": "line6.txt"}
                             "1", "--repr-policy", "seeded_uniform",
                             "--grid-eps", "0.0078125"]),
     ("finite", {"space": FINITE_6, "T": 256, "seeds": [0, 1, 2]}, []),
+    # pricing runs that cross the 256-round blocks of the value draws
+    ("pricing_target", {"env": pricing_target(), "T": 1000, "seeds": [0, 1]},
+     []),
+    ("anytime_pricing", {"env": {"kind": "pricing",
+                                 "values": {"kind": "uniform"}},
+                         "T": None, "rounds": 600}, []),
 ])
 def test_run_output_trees_are_pinned(tmp_path, monkeypatch, name, over, flags):
     monkeypatch.chdir(tmp_path)

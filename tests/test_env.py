@@ -402,7 +402,9 @@ def test_pricing_buy_rule():
 ])
 def test_single_arm_reward_equals_block_pricing(kind, params):
     env = PricingEnv(kind, params, seed=2)
-    assert_single_arm_rewards_equal_block(env, 4096, 1)
+    # across the value blocks' edges, forwards, then backwards
+    walk = list(range(250, 521)) + list(range(520, 249, -1))
+    assert_single_arm_rewards_equal_block(env, 4096, 1, ts=walk)
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -412,15 +414,20 @@ def test_single_arm_reward_equals_block_pricing(kind, params):
 def test_pricing_scalar_value_equals_the_array_path(kind, params):
     env = PricingEnv(kind, params, seed=5)
     ts = np.arange(1, 3001)
-    assert [env.value(int(t)).hex() for t in ts] == \
+    assert [float(env.value(int(t))).hex() for t in ts] == \
         [float(v).hex() for v in env.value(ts)]
-    # the target family's branch points and their neighbours
-    m0, f_hi = (0.5 - 0.25) / 0.5, 2.0 - 0.75 / 0.7
-    us = [0.0, 1.0 - 2.0 ** -53] + [
+    if kind != "target":
+        return
+    # the target family's branch points and their neighbours, against the
+    # inverse CDF on Python floats (min(u, f_hi) is u where it is used)
+    m0, f_hi, hi = (0.5 - 0.25) / 0.5, 2.0 - 0.75 / 0.7, 0.7
+    us = [0.0, 1.0 - 2.0 ** -53, m0, f_hi] + [
         float(np.nextafter(e, to)) for e in (m0, f_hi) for to in (0.0, 1.0)]
-    for u in us + [m0, f_hi]:
-        assert env._value_of(u).hex() == \
-            float(env._value_of(np.array([u]))[0]).hex(), u
+    want = [0.0 if u < m0 else 0.75 / (2.0 - u) if u <= f_hi else hi
+            for u in us]
+    assert [v.hex() for v in env._value_of(np.array(us)).tolist()] == \
+        [v.hex() for v in want]
+    assert want[4] == 0.0 < want[5] and want[6] < hi == want[7]
 
 
 def test_pricing_value_from_cdf_uniform():
@@ -553,6 +560,16 @@ def test_env_from_spec_kinds(tmp_path):
         env_from_spec({"kind": "distance_to_target", "sigma": 1}, T=8, seed=0)
     with pytest.raises(ValueError, match="kind"):
         env_from_spec({}, T=8, seed=0)
+
+
+@pytest.mark.parametrize("row", ["0.5,0.4,0.3", "x,0.4", "0.5", "0.5,"])
+def test_custom_table_file_names_a_bad_row(tmp_path, row):
+    path = tmp_path / "table.csv"
+    path.write_text(f"0.0,0.3\n\n{row}\n1.0,0.7\n")
+    with pytest.raises(ValueError) as err:
+        env_from_spec({"kind": "custom_table", "path": str(path)}, T=8, seed=0)
+    assert str(err.value) == \
+        f"{path}: line 3 must be x,mu (two numbers), got {row!r}"
 
 
 def test_every_env_kind_rejects_an_unknown_noise():

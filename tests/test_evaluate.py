@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -146,6 +147,18 @@ def test_grid_eps_for_returns_an_explicit_eps_that_fits(eps):
 def test_grid_eps_for_rejects_an_explicit_eps_that_does_not_fit(d, T, eps):
     with pytest.raises(ValueError, match=f"grid_eps={eps!r} at d={d}, T={T}"):
         evaluate.grid_eps_for(d, T, eps)
+
+
+@pytest.mark.parametrize("d, eps", [
+    (1, 2.0), (1, 3.0), (2, 2.5), (1, 0.0), (1, -0.5), (1, math.nan),
+])
+def test_grid_points_rejects_an_eps_without_a_grid_step(d, eps):
+    # round(1/eps) == 0 from eps = 2 on: the grid would divide by zero
+    with pytest.raises(ValueError, match=re.escape(
+            f"grid_eps must be in (0, 2), got {eps!r}")):
+        grid_points(d, eps)
+    assert grid_points(d, math.nextafter(2.0, 0.0)).tolist() == \
+        grid_points(d, 1.0).tolist()
 
 
 def test_regret_default_grid_is_coarsened_to_fit(tent_env):

@@ -270,6 +270,25 @@ def test_space_from_file_names_a_bad_point_count(tmp_path, count):
                               f">= 1, got {count!r}")
 
 
+@pytest.mark.parametrize("token", ["zz", "nan", "inf", "-inf"])
+def test_space_from_file_names_a_bad_distance(tmp_path, token):
+    path = tmp_path / "space.txt"
+    path.write_text(f"3\n0 1 1\n1 0 {token}\n1 1 0\n")
+    with pytest.raises(ValueError) as err:
+        FiniteMetricSpace.from_file(path)
+    assert str(err.value) == (f"{path}: distance 6 (row 2, column 3) must be "
+                              f"a finite number, got {token!r}")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_space_rejects_a_non_finite_distance_first(bad):
+    # symmetric, so no other check would name the value
+    dist = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, bad], [0.5, bad, 0.0]])
+    with pytest.raises(ValueError) as err:
+        FiniteMetricSpace([0, 1, 2], dist)
+    assert str(err.value) == f"distance (1, 2) is {bad}, not finite"
+
+
 def test_greedy_cover_two_points():
     far = FiniteMetricSpace([0, 1], [[0, 1], [1, 0]])
     assert len(greedy_cover(far, 0.4)) == 2

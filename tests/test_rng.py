@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from advzoom.rng import (
     _mix,
@@ -55,6 +56,20 @@ def test_scalar_uniform_equals_block_on_edge_counters():
                 want = uniform(key, np.array([a], dtype=np.uint64),
                                np.array([b], dtype=np.uint64))[0]
                 assert_scalar_equals(key, a, b, want)
+
+
+def test_python_int_counters_outside_64_bits_raise():
+    # numpy integers wrap modulo 2**64; Python ints must fit in [0, 2**64)
+    key = stream_key(0, "edge")
+    with pytest.raises(OverflowError,
+                       match="Python integer -1 out of bounds for uint64"):
+        uniform(key, -1)
+    for bad in (-1, 2**64):
+        for a, b in ((bad, 0), (0, bad)):
+            with pytest.raises(OverflowError):
+                uniform(key, a, b)
+    assert uniform(key, np.int64(-1)) == uniform(key, 2**64 - 1)
+    assert uniform(key, 3, np.int64(-2)) == uniform(key, 3, 2**64 - 2)
 
 
 def test_uniform_on_a_key_array_with_scalar_counters():
