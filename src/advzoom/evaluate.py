@@ -27,7 +27,11 @@ _CELLS = 1 << 16  # arm-rounds per replay block: 512 KiB per block buffer
 # arms from which replay sums a round at a time: on 2 vCPUs, 128 arms replay
 # as fast either way and 160 arms about 10% faster a round at a time
 _WIDE = 144
-_BLOCK = 2048  # most rounds per monitor block
+# node-rounds per monitor block: 128 KiB per float64 array, three alive at
+# once.  The monitor runs after a recorded run, when the process is at its
+# largest, so its blocks add to the peak: a d=2, T = 8192 run with monitor
+# and artifacts peaked at 47.4 MB of RSS with _CELLS blocks, 46.6 with these
+_MONITOR_CELLS = 1 << 14
 
 
 def grid_points(d: int, eps: float) -> np.ndarray:
@@ -343,10 +347,13 @@ def monitor(trace: Trace, tol: float = 1e-9) -> list:
 
 
 def _monitor_blocks(rounds):
-    """Runs of at most _BLOCK rounds with one active set, cut after every
-    round that zooms: within a run each node's sums are running sums down
-    one column, and only its last round can have zoom-ins.  Cutting more
-    often changes no result, so active sets are compared by equality."""
+    """Runs of rounds with one active set, cut after every round that
+    zooms and before a run would pass _MONITOR_CELLS node-rounds: a run of
+    one round may hold more, so a run has at most max(|A_t|,
+    _MONITOR_CELLS) node-rounds whatever T is.  Within a run each node's
+    sums are running sums down one column, and only its last round can
+    have zoom-ins.  Cutting more often changes no result, so active sets
+    are compared by equality."""
     lo = 0
     for i, rec in enumerate(rounds):
         ids = rec.active_ids
@@ -354,7 +361,8 @@ def _monitor_blocks(rounds):
             raise ValueError(f"round {rec.t}: {len(rec.pi)} probabilities "
                              f"for {len(ids)} active nodes")
         head = rounds[lo].active_ids
-        if i > lo and (i - lo == _BLOCK or rounds[i - 1].zoomed
+        if i > lo and ((i - lo + 1) * len(ids) > _MONITOR_CELLS
+                       or rounds[i - 1].zoomed
                        or (ids is not head and ids != head)):
             yield rounds[lo:i]
             lo = i
@@ -363,9 +371,10 @@ def _monitor_blocks(rounds):
 
 
 def _running_sums(rows: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Running totals down each column of rows, continuing from start."""
+    """Running totals down each column of rows, continuing from start, in
+    place."""
     rows[0] += start
-    return np.cumsum(rows, axis=0)
+    return np.cumsum(rows, axis=0, out=rows)
 
 
 def _check_block(trace: Trace, block: list, tol: float, log2T: float,
@@ -389,14 +398,25 @@ def _check_block(trace: Trace, block: list, tol: float, log2T: float,
     P = np.stack([rec.pi for rec in block])
     Ls = np.array([meta.scale for meta in metas], dtype=np.float64)
 
+    # three block-sized float arrays, each rewritten in place: P becomes
+    # the mass sums and then the inherited sums, conf the confidence sums
+    # and then conf_tot, and thr holds each check's threshold in turn
     sums, mins = P.sum(axis=1), P.min(axis=1)
-    s_conf = _running_sums(beta[:, None] / P, start[0])
-    mass = _running_sums(P.copy(), start[1])
-    inh = _running_sums(np.tile(Ls, (len(block), 1)), start[2])
-    conf_tot = (1.0 / beta)[:, None] + s_conf
-    bad_conf = conf_tot < (ts - 1.0)[:, None] * Ls - tol
-    bad_inh = (inh > (4.0 * ts * log2T)[:, None] * Ls + tol if trace.T > 1
-               else np.zeros_like(bad_conf))
+    conf = _running_sums(beta[:, None] / P, start[0])
+    m_last = _running_sums(P, start[1])[-1].tolist()
+    s_last = conf[-1].tolist()
+    P[...] = Ls
+    inh = _running_sums(P, start[2])
+    conf += (1.0 / beta)[:, None]  # conf_tot
+    thr = np.multiply((ts - 1.0)[:, None], Ls)
+    thr -= tol
+    bad_conf = conf < thr
+    if trace.T > 1:
+        np.multiply((4.0 * ts * log2T)[:, None], Ls, out=thr)
+        thr += tol
+        bad_inh = inh > thr
+    else:
+        bad_inh = np.zeros_like(bad_conf)
     bad_node = bad_conf | bad_inh
     bad_sum = np.abs(sums - 1.0) > 1e-12
     bad_min = mins < gamma / n - 1e-12
@@ -425,7 +445,7 @@ def _check_block(trace: Trace, block: list, tol: float, log2T: float,
             if bad_conf[r, j]:
                 out.append(Violation(
                     "zooming_invariant", rt, nid,
-                    f"conf_tot={float(conf_tot[r, j]):.6g} < "
+                    f"conf_tot={float(conf[r, j]):.6g} < "
                     f"(t-1)L={(rt - 1) * scale:.6g}",
                 ))
             if bad_inh[r, j]:
@@ -433,8 +453,7 @@ def _check_block(trace: Trace, block: list, tol: float, log2T: float,
                     "inherited_diameter", rt, nid,
                     f"sum L(act)={float(inh[r, j]):.6g} > 4 t log2(T) L",
                 ))
-    for nid, s, m, h in zip(ids, s_conf[-1].tolist(), mass[-1].tolist(),
-                            inh[-1].tolist()):
+    for nid, s, m, h in zip(ids, s_last, m_last, inh[-1].tolist()):
         carry[nid] = (s, m, h)
 
     rec = block[-1]
@@ -443,7 +462,7 @@ def _check_block(trace: Trace, block: list, tol: float, log2T: float,
     for nid in rec.zoomed:
         meta = trace.node_table[nid]
         L = meta.scale
-        p = float(P[-1, col[nid]])
+        p = float(rec.pi[col[nid]])
         s, m, h = carry[nid]
         if m < 1.0 / (9.0 * L * L) - tol:
             out.append(Violation(

@@ -108,10 +108,17 @@ class Trace:
     # -- CSV ---------------------------------------------------------------
 
     def write_csv(self, path) -> None:
+        # each arm's field is made once: keyed by the tuple's id, which the
+        # rounds keep alive, since 0.0 == -0.0 would merge their tuples
+        arms: dict = {}
+
         def lines():
             for r in self.rounds:
-                arm = ";".join([repr(float(x)) if isinstance(x, (int, float))
-                                else str(x) for x in r.arm])
+                arm = arms.get(id(r.arm))
+                if arm is None:
+                    arm = arms[id(r.arm)] = ";".join([
+                        repr(float(x)) if isinstance(x, (int, float))
+                        else str(x) for x in r.arm])
                 yield (f"{r.t},{r.node_id},{arm},{float(r.reward)!r},"
                        f"{float(r.beta)!r},{float(r.beta_tilde)!r},"
                        f"{float(r.gamma)!r},{float(r.eta)!r},{r.n_active},"

@@ -220,6 +220,10 @@ def test_csv_writers_equal_csv_writer_bytes(tmp_path, name, over):
     # a round that zooms several nodes at once, next to rounds with none
     trace.rounds[7] = replace(trace.rounds[7], zoomed=(4, 17, 123))
     assert any(not r.zoomed for r in trace.rounds)
+    # arms equal as tuples but written apart, since 0.0 == -0.0
+    zero = (0.0,) * len(trace.rounds[8].arm)
+    trace.rounds[8] = replace(trace.rounds[8], arm=zero)
+    trace.rounds[9] = replace(trace.rounds[9], arm=tuple(-x for x in zero))
     trace.write_csv(tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes() == csv_writer_bytes(
         tmp_path, TRACE_COLUMNS, trace_rows(trace))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -239,7 +240,7 @@ def single_pass_replay(env, grid, T, checkpoints=None):
     return cum_best, totals
 
 
-BLOCK = evaluate._BLOCK
+BLOCK = 2048
 BUMPS = [MeanFunction("baseline_bump",
                       {"peak": 1.0, "baseline": 0.0, "support": (0.05, 0.45)}),
          MeanFunction("baseline_bump",
@@ -717,15 +718,27 @@ def monitor_reference(trace: Trace, tol: float = 1e-9) -> list:
     return out
 
 
-def assert_monitor_matches_reference(tr) -> None:
+# monitor block budgets: one node-round (a block per round), an odd size
+# whose cuts fall off the zoom-ins, and the default
+MONITOR_CELLS = (1, 301, evaluate._MONITOR_CELLS)
+
+
+def assert_monitor_matches_reference(
+        tr, cells=(evaluate._MONITOR_CELLS,)) -> None:
     """Equal ordered violation lists at the default tolerance and at
-    negative ones, where most checks fire and every detail is compared."""
+    negative ones, where most checks fire and every detail is compared,
+    with the monitor's block budget set to each of cells."""
     for tol in (1e-9, -0.01, -1.0, -5.0):
-        got = monitor(tr, tol)
-        assert got == monitor_reference(tr, tol)
-        # plain ints, so the run report's JSON can hold them
-        assert all(type(v.t) is int for v in got)
-        assert all(v.node_id is None or type(v.node_id) is int for v in got)
+        want = monitor_reference(tr, tol)
+        for c in cells:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluate, "_MONITOR_CELLS", c)
+                got = monitor(tr, tol)
+            assert got == want
+            # plain ints, so the run report's JSON can hold them
+            assert all(type(v.t) is int for v in got)
+            assert all(v.node_id is None or type(v.node_id) is int
+                       for v in got)
 
 
 @pytest.mark.parametrize("d,target", [(1, GOLD), (2, [GOLD, 1.0 - GOLD])])
@@ -733,7 +746,8 @@ def test_monitor_matches_reference_on_cube_runs(d, target):
     env = StochasticEnv(tent_mean(target=target), seed=0)
     tr = algo.run(algo.init(d, 2048, algo.AlgoConfig(seed=0)), env)
     assert tr.zoom_events()
-    assert_monitor_matches_reference(tr)
+    assert_monitor_matches_reference(tr, MONITOR_CELLS if d == 2 else
+                                     (evaluate._MONITOR_CELLS,))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -744,7 +758,8 @@ def test_monitor_matches_reference_on_dag_spaces(seed, tent_env):
     tr = algo.run(algo.init(space, 1024, algo.AlgoConfig(seed=seed)),
                   tent_env(seed=seed))
     assert tr.space_kind == "dag" and tr.zoom_events()
-    assert_monitor_matches_reference(tr)
+    assert_monitor_matches_reference(tr, MONITOR_CELLS if seed == 0 else
+                                     (evaluate._MONITOR_CELLS,))
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -758,7 +773,8 @@ def test_monitor_matches_reference_from_a_deeper_start(
     tr = algo.run(st, tent_env(seed=seed))
     flagged = monitor(tr)
     assert [v.check for v in flagged] == ["node_count"] * n_flagged
-    assert_monitor_matches_reference(tr)
+    assert_monitor_matches_reference(tr, MONITOR_CELLS if start_height == 3
+                                     else (evaluate._MONITOR_CELLS,))
 
 
 def test_monitor_matches_reference_on_anytime_phases(tent_env):
@@ -766,7 +782,7 @@ def test_monitor_matches_reference_on_anytime_phases(tent_env):
                               tent_env(seed=2))
     assert len(phases) == 12 and phases[0].T == 1
     for tr in phases:
-        assert_monitor_matches_reference(tr)
+        assert_monitor_matches_reference(tr, MONITOR_CELLS)
 
 
 def test_monitor_matches_reference_when_a_zoomed_node_stays_active():
@@ -791,6 +807,31 @@ def test_monitor_matches_reference_when_a_zoomed_node_stays_active():
     assert {v.check for v in monitor_reference(tr, -1.0)} >= {
         "zoom_mass", "zooming_invariant", "inherited_diameter"}
     assert_monitor_matches_reference(tr)
+
+
+@pytest.mark.parametrize("cells", [301, None])
+def test_monitor_blocks_stay_within_the_cell_budget(cells, monkeypatch):
+    # |A_t| reaches 64 on this run, and one active set lasts 2048 rounds or
+    # more: each block holds at most max(|A_t|, budget) node-rounds
+    if cells is not None:
+        monkeypatch.setattr(evaluate, "_MONITOR_CELLS", cells)
+    budget = evaluate._MONITOR_CELLS
+    env = StochasticEnv(tent_mean(target=[GOLD, 1.0 - GOLD]), seed=0)
+    tr = algo.run(algo.init(2, 8192, algo.AlgoConfig(seed=0)), env)
+    assert max(rec.n_active for rec in tr.rounds) == 64
+    assert max(len(list(run)) for _, run in itertools.groupby(
+        rec.active_ids for rec in tr.rounds)) >= 2048
+    check, sizes = evaluate._check_block, []
+
+    def spy(trace, block, *args):
+        sizes.append((len(block), len(block[0].active_ids)))
+        return check(trace, block, *args)
+
+    monkeypatch.setattr(evaluate, "_check_block", spy)
+    assert monitor(tr) == []
+    assert sum(k for k, _ in sizes) == 8192
+    assert max(n for _, n in sizes) == 64
+    assert all(k * n <= max(n, budget) for k, n in sizes)
 
 
 @pytest.mark.parametrize("height,flagged", [
