@@ -5,8 +5,8 @@ optimistic estimate G_hat, the cumulative confidence sum S_conf, and
 log c_prod (the log-product of child counts along the ancestry) — plus its
 cached geometry (its scale L and e^L - 1, read by the zoom test) and
 bookkeeping: the node itself and its trace id.  A node is anything with a
-`scale` and `children` (cube cell, DAG ball or fixed arm); rounds and
-zooming never ask which kind it is.
+`node_id`, `height`, `scale` and `children` (cube cell, DAG ball or fixed
+arm); rounds and zooming never ask which kind it is.
 Weights are never stored: the closed form
 
     log w_t(u) = eta_t * G_hat(u) - log_c_prod(u)
@@ -167,8 +167,7 @@ class AlgState:
                 raise ValueError("a fixed arm set has no level below height 0")
             kind, d, n_dbl = "arms", space.shape[1], 2 ** space.shape[1]
             # one zero-scale, childless node per arm, all of equal weight
-            level = [(DagNode(node_id=(0, k), center_point=k, height=0,
-                              scale=0.0, arm=tuple(arm)), 0.0)
+            level = [(DagNode(node_id=(0, k), scale=0.0, arm=tuple(arm)), 0.0)
                      for k, arm in enumerate(space)]
         elif isinstance(space, FiniteMetricSpace):
             dag = build_zooming_dag(
@@ -181,7 +180,7 @@ class AlgState:
             # uniform inherited weight across the level (root's equal split,
             # iterated); exact lineage is ambiguous in a DAG, so use level size
             ids = dag.levels[h]
-            log_cp = math.log(len(ids)) if len(ids) > 1 else 0.0
+            log_cp = math.log(len(ids))
             level = [(dag.nodes[nid], log_cp) for nid in ids]
         else:
             raise TypeError(f"unsupported space {type(space)!r}")

@@ -8,10 +8,12 @@ Two hierarchies are provided:
 * a zooming DAG over an arbitrary finite metric space, built level by level
   from greedy coverings, for use when the action set is not a cube.
 
-Nodes of both hierarchies answer `scale` (cube diameter, ball radius) and
-`children` (the nodes one level down), which is all the zooming learner asks
-of them.  Plus the covering utilities: one greedy net (the DAG's levels
-here, evaluate's cover counts) and a brute-force doubling-constant estimate,
+Nodes of both hierarchies are named by node_id = (height, cell or center
+point index) and expose `height`, `scale` (cube diameter, ball radius) and
+`children` (the nodes one level down); with node_id, which keys
+representative's seeded draw, that is all the zooming learner reads of
+them.  Plus the covering utilities: one greedy net (the DAG's levels here,
+evaluate's cover counts) and a brute-force doubling-constant estimate,
 whose one greedy cover of a ball is _ball_cover_count; and product_grid,
 the grids of evaluation and of the fixed-grid baseline.
 """
@@ -33,9 +35,6 @@ from .rng import fnv1a64, uniform
 # Cube tree
 # --------------------------------------------------------------------------
 
-# A cube node id is (height, cell), where cell[j] in [0, 2**height) indexes
-# the dyadic cell along axis j.  Ids are stable across runs and hashable.
-CubeId = tuple
 # the arm a cube node plays: see representative
 REPR_POLICIES = ("center", "low_endpoint", "seeded_uniform")
 
@@ -44,14 +43,31 @@ REPR_POLICIES = ("center", "low_endpoint", "seeded_uniform")
 class CubeNode:
     """Axis-parallel dyadic cube: side 2**-height, sup-diameter = side.
 
-    As a zooming node its scale is its diameter and its children are its
-    2^d quadrants (see cube_children).
+    The node is its id (height, cell), cell[j] in [0, 2**height) indexing
+    the dyadic cell along axis j; ids are stable across runs and hashable.
+    Its geometry is derived from the id, exactly: along axis j it spans
+    [2c, 2c + 2] half-widths of 2**-(height+1), dyadic rationals of at most
+    height + 1 <= 53 significant bits.  As a zooming node its scale is its
+    diameter and its children are its 2^d quadrants (see cube_children).
     """
 
-    node_id: CubeId
-    center: tuple
-    half_width: float
-    height: int
+    node_id: tuple  # (height, cell)
+
+    @property
+    def height(self) -> int:
+        return self.node_id[0]
+
+    @property
+    def cell(self) -> tuple:
+        return self.node_id[1]
+
+    @property
+    def dim(self) -> int:
+        return len(self.cell)
+
+    @property
+    def half_width(self) -> float:
+        return 0.5 ** (self.height + 1)
 
     @property
     def scale(self) -> float:
@@ -59,15 +75,17 @@ class CubeNode:
         return 2.0 * self.half_width
 
     @property
+    def center(self) -> tuple:
+        h = self.half_width
+        return tuple((2 * c + 1) * h for c in self.cell)
+
+    @property
     def children(self) -> list:
         return cube_children(self)
 
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
     def low_corner(self) -> tuple:
-        return tuple(c - self.half_width for c in self.center)
+        h = self.half_width
+        return tuple(2 * c * h for c in self.cell)
 
 
 def product_grid(axis: np.ndarray, d: int) -> np.ndarray:
@@ -80,12 +98,7 @@ def cube_root(d: int) -> CubeNode:
     """Root cube [0,1]^d: height 0, scale 1."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    return CubeNode(
-        node_id=(0, (0,) * d),
-        center=(0.5,) * d,
-        half_width=0.5,
-        height=0,
-    )
+    return CubeNode((0, (0,) * d))
 
 
 def cube_children(u: CubeNode) -> list:
@@ -94,23 +107,10 @@ def cube_children(u: CubeNode) -> list:
     Quadrant q uses bit j of q to pick the low (0) or high (1) half along
     axis j; children ordered by q, which fixes activation order downstream.
     """
-    d = u.dim
-    h = u.half_width / 2.0
-    _, cell = u.node_id
-    children = []
-    for q in range(1 << d):
-        bits = tuple((q >> j) & 1 for j in range(d))
-        center = tuple(c + (h if b else -h) for c, b in zip(u.center, bits))
-        child_cell = tuple(2 * cell[j] + bits[j] for j in range(d))
-        children.append(
-            CubeNode(
-                node_id=(u.height + 1, child_cell),
-                center=center,
-                half_width=h,
-                height=u.height + 1,
-            )
-        )
-    return children
+    height, cell = u.node_id
+    return [CubeNode((height + 1, tuple(2 * c + ((q >> j) & 1)
+                                        for j, c in enumerate(cell))))
+            for q in range(1 << len(cell))]
 
 
 def cube_level(d: int, height: int) -> list:
@@ -140,7 +140,7 @@ def representative(u, policy: str = "center", seed: int = 0) -> tuple:
     key = fnv1a64(f"repr:{seed}:{u.node_id}")
     us = uniform(key, np.arange(u.dim))
     lo = u.low_corner()
-    return tuple(lo[j] + 2.0 * u.half_width * us[j] for j in range(u.dim))
+    return tuple(lo[j] + u.scale * us[j] for j in range(u.dim))
 
 
 # --------------------------------------------------------------------------
@@ -261,20 +261,25 @@ def greedy_cover(space: FiniteMetricSpace, eps: float) -> list:
 
 @dataclass
 class DagNode:
-    """Ball node around a center point; its scale is the ball's radius.
-
-    The scale is 2**-height in a zooming DAG and 0 for a fixed arm, which
-    is a childless node of a flat arm set (see algo.AlgState).  `children`
-    holds the child DagNode objects of the next level.
+    """Ball node named by node_id = (height, center point index); its scale
+    is the ball's radius, 2**-height in a zooming DAG and 0 for a fixed arm
+    (0, k), a childless node of a flat arm set (see algo.AlgState).
+    `children` holds the child DagNode objects of the next level.
     """
 
     node_id: tuple  # (height, center point index)
-    center_point: int
-    height: int
     scale: float
     arm: object  # the center's point value, played as the representative
     ball: frozenset = frozenset()  # point indices within distance scale
     children: list = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def height(self) -> int:
+        return self.node_id[0]
+
+    @property
+    def center_point(self) -> int:
+        return self.node_id[1]
 
 
 @dataclass
@@ -304,14 +309,8 @@ def build_zooming_dag(space: FiniteMetricSpace, max_height: int) -> ZoomingDag:
         for c in centers:
             nid = (h, c)
             ball = frozenset(np.flatnonzero(space.dist[c] <= r).tolist())
-            nodes[nid] = DagNode(
-                node_id=nid,
-                center_point=c,
-                height=h,
-                scale=r,
-                arm=space.points[c],
-                ball=ball,
-            )
+            nodes[nid] = DagNode(node_id=nid, scale=r, arm=space.points[c],
+                                 ball=ball)
             level.append(nid)
         levels.append(level)
     for h in range(max_height):

@@ -70,6 +70,9 @@ def test_custom_table_interpolation():
     assert m(0.25) == pytest.approx(0.5)
     with pytest.raises(ValueError, match="increasing"):
         MeanFunction("custom_table", {"xs": [0, 0], "ys": [0, 1]})
+    for ys in ([0, 1.5], [-0.1, 0.5]):
+        with pytest.raises(ValueError, match=r"means outside \[0,1\]"):
+            MeanFunction("custom_table", {"xs": [0, 1], "ys": ys})
     with pytest.raises(ValueError):
         MeanFunction("concave", {"peak": 1.2, "baseline": 0.0})
     with pytest.raises(ValueError, match="kind"):
@@ -182,6 +185,18 @@ def test_make_combined_rejections():
                          {"target": 0.25, "peak": 0.55, "baseline": 0.2})
     with pytest.raises(ValueError, match="baseline"):
         make_combined([leaky, m2], [(0, 32), (1, 32)], subs, [0.2, 0.2], T=64)
+    with pytest.raises(ValueError, match="one subset and one baseline"):
+        make_combined([m1, m2], [(0, 32), (1, 32)], subs, [0.2], T=64)
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match="unknown instance"):
+            make_combined([m1, m2], np.tile([0, bad], 32), subs, [0.2, 0.2],
+                          T=64)
+    # instance 0 peaks 0.4 above its baseline on S_0 but dips to 0 there,
+    # and is exactly its baseline everywhere else
+    dips = MeanFunction("custom_table", {"xs": [0, 0.1, 0.2, 0.3, 0.4, 1],
+                                         "ys": [0.2, 0.2, 0, 0.6, 0.2, 0.2]})
+    with pytest.raises(ValueError, match="instance 0 below b_0 on S_0"):
+        make_combined([dips, m2], [(0, 32), (1, 32)], subs, [0.2, 0.2], T=64)
 
 
 def test_combined_mixture_identity():
@@ -394,6 +409,8 @@ def test_pricing_buy_rule():
     assert eval_reward(env, 1, 0.3) == pytest.approx(0.3)
     assert eval_reward(env, 1, 0.6) == 0.0
     assert eval_reward(env, 9, 0.5) == pytest.approx(0.5)
+    # so the mean revenue is x up to the value and 0 past it
+    assert env.mean_at(1, [0.3, 0.5, 0.6]).tolist() == [0.3, 0.5, 0.0]
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -522,6 +539,29 @@ def test_audit_flags_jump():
 def test_audit_pricing_one_sided():
     rep = lipschitz_audit(PricingEnv("uniform", {}, seed=3), T=1024)
     assert rep.mode == "one_sided" and rep.ok
+
+
+class SlopeEnv:
+    """Pricing stub whose every realization is g_t(x) = slope * x."""
+
+    kind = "pricing"
+    d = 1
+
+    def __init__(self, slope):
+        self.slope = slope
+
+    def reward_block(self, ts, xs):
+        return np.repeat(self.slope * xs, len(ts), axis=1)
+
+
+@pytest.mark.parametrize("slope,flagged", [(1.0, 0), (1.5, 50)])
+def test_audit_pricing_flags_a_rise_steeper_than_the_price(slope, flagged):
+    # g_t(x) - g_t(x') = slope (x - x') breaks the one-sided condition
+    # exactly when slope > 1, and then on every pair
+    rep = lipschitz_audit(SlopeEnv(slope), T=64, pairs=50, n_rounds=4)
+    assert rep.mode == "one_sided" and len(rep.flagged) == flagged
+    assert all(f["mode"] == "one_sided" and f["x"] > f["y"]
+               for f in rep.flagged)
 
 
 # -- declarative construction -------------------------------------------------

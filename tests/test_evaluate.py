@@ -556,6 +556,30 @@ def test_monitor_flags_fabricated_premature_zoom():
     assert monitor(clean) == []
 
 
+@pytest.mark.parametrize("tau1,flagged", [
+    (5, [("lifespan", 5, 1, "tau1=5 < 2 tau1(parent) - 2 = 6")]), (6, [])])
+def test_monitor_flags_a_child_zoomed_within_its_parents_lifespan(
+        tau1, flagged):
+    # the root zooms at t=4, so a child may zoom at 2 * 4 - 2 = 6 at the
+    # earliest; every other check passes on both traces
+    tr = Trace(algorithm="adversarial_zooming", T=8, d=1, n_dbl=2, seed=0)
+    tr.add_node(NodeMeta(0, None, 0, 1.0, 1, (0.5,), 0.0, tau1=4,
+                         n_children=2))
+    tr.add_node(NodeMeta(1, 0, 1, 0.5, 5, (0.25,), math.log(2), tau1=tau1,
+                         n_children=2))
+    tr.add_node(NodeMeta(2, 0, 1, 0.5, 5, (0.75,), math.log(2)))
+    for t in range(1, tau1 + 1):
+        ids, pi = ((0,), [1.0]) if t <= 4 else ((1, 2), [0.5, 0.5])
+        zoomed = (0,) if t == 4 else (1,) if t == tau1 else ()
+        tr.append(RoundRecord(t=t, node_id=ids[0], arm=(0.5,), reward=1.0,
+                              beta=0.5, beta_tilde=0.5, gamma=0.1, eta=0.5,
+                              n_active=len(ids), zoomed=zoomed,
+                              active_ids=ids, pi=np.array(pi)))
+    assert [(v.check, v.t, v.node_id, v.detail)
+            for v in monitor(tr)] == flagged
+    assert_monitor_matches_reference(tr)
+
+
 def test_monitor_zoom_probability_floor():
     # mass ok requires pi >= 4/9; use pi = 0.45 but beta/e^L needs 0.303:
     # passing; now drop pi below the floor and watch both checks fire

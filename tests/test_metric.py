@@ -213,6 +213,80 @@ def test_representative_policies():
         representative(node, "median")
 
 
+def float_recursion_children(center, half_width):
+    """(center, half width) of each quadrant by float arithmetic on the
+    parent's: the centre moves by half the parent's half-width along every
+    axis, low (bit 0) or high (bit 1), in cube_children's quadrant order."""
+    h = half_width / 2.0
+    return [(tuple(c + (h if (q >> j) & 1 else -h)
+                   for j, c in enumerate(center)), h)
+            for q in range(1 << len(center))]
+
+
+def assert_geometry_is_the_float_recursion(nodes, centers, half_width,
+                                           seed):
+    """The derived geometry and representatives of nodes of one height
+    equal those of the float recursion's centres and half-width bit for bit
+    (by float.hex, so -0.0 cannot pass as 0.0)."""
+    def hexes(xs):
+        return [float(x).hex() for x in xs]
+
+    keys = np.array([metric.fnv1a64(f"repr:{seed}:{u.node_id}")
+                     for u in nodes])
+    draws = metric.uniform(keys[:, None], np.arange(nodes[0].dim)).tolist()
+    for node, center, draw in zip(nodes, centers, draws):
+        low = tuple(c - half_width for c in center)
+        drawn = tuple(lo + 2.0 * half_width * x for lo, x in zip(low, draw))
+        assert hexes(node.center) == hexes(center)
+        assert hexes(node.low_corner()) == hexes(low)
+        assert node.half_width.hex() == half_width.hex()
+        assert node.scale.hex() == (2.0 * half_width).hex()
+        for policy, want in zip(metric.REPR_POLICIES, (center, low, drawn)):
+            assert hexes(representative(node, policy, seed)) == hexes(want)
+
+
+@pytest.mark.parametrize("d,height", [(1, 14), (2, 7), (3, 4)])
+def test_cube_geometry_is_exact_on_every_cell(d, height):
+    nodes, centers, half_width = [cube_root(d)], [(0.5,) * d], 0.5
+    for h in range(height + 1):
+        assert all(u.height == h and u.dim == d for u in nodes)
+        assert_geometry_is_the_float_recursion(nodes, centers, half_width,
+                                               seed=h)
+        nodes = [v for u in nodes for v in cube_children(u)]
+        centers = [c for center in centers
+                   for c, _ in float_recursion_children(center, half_width)]
+        half_width /= 2.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cube_geometry_is_exact_down_to_height_52(d):
+    # 2c + 1 < 2^53 for every cell down to height 52, so every coordinate
+    # of a cell there is a double
+    node, center, half_width = cube_root(d), (0.5,) * d, 0.5
+    rng = np.random.default_rng(d)
+    for h in range(1, 53):
+        q = int(rng.integers(1 << d))
+        node = cube_children(node)[q]
+        center, half_width = float_recursion_children(center, half_width)[q]
+        assert node.height == h
+        assert_geometry_is_the_float_recursion([node], [center], half_width,
+                                               seed=h)
+    assert max(node.cell) >= 1 << 50  # the path reached the last bits
+
+
+def test_dag_node_height_and_center_point_are_its_id():
+    x = (np.arange(40) + np.random.default_rng(4).random(40)) / 40
+    space = FiniteMetricSpace(x.tolist(), np.abs(x[:, None] - x))
+    dag = build_zooming_dag(space, 11)
+    for h, level in enumerate(dag.levels):
+        for nid in level:
+            u = dag.nodes[nid]
+            assert (u.height, u.center_point) == u.node_id == nid
+            assert u.height == h and u.arm == x[u.center_point]
+            assert u.ball == set(np.flatnonzero(
+                space.dist[u.center_point] <= u.scale).tolist())
+
+
 # -- finite metric spaces ----------------------------------------------------
 
 
@@ -227,6 +301,10 @@ def test_space_validation():
         FiniteMetricSpace([0, 1], [[0, 2.0], [2.0, 0]])
     with pytest.raises(ValueError, match="empty"):
         FiniteMetricSpace([], np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=r"shape \(2, 3\) != \(2, 2\)"):
+        FiniteMetricSpace([0, 1], np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="negative"):
+        FiniteMetricSpace([0, 1], [[0, -0.5], [-0.5, 0]])
 
 
 def test_triangle_check_fits_in_quadratic_memory():
@@ -258,6 +336,10 @@ def test_space_from_file(tmp_path):
     bad.write_text("3\n0 1\n")
     with pytest.raises(ValueError, match="expected 9"):
         FiniteMetricSpace.from_file(bad)
+    empty = tmp_path / "empty.txt"
+    empty.write_text(" \n")
+    with pytest.raises(ValueError, match="empty file"):
+        FiniteMetricSpace.from_file(empty)
 
 
 @pytest.mark.parametrize("count", ["0", "-1", "-2", "2.5", "1e9", "abc"])
@@ -401,8 +483,7 @@ def test_every_node_kind_answers_scale_and_children():
             assert bool(node.children) == (h < dag.max_height)
             assert all(v.height == h + 1 and dag.nodes[v.node_id] is v
                        for v in node.children)
-    arm = DagNode(node_id=(0, 0), center_point=0, height=0, scale=0.0,
-                  arm=(0.3,))
+    arm = DagNode(node_id=(0, 0), scale=0.0, arm=(0.3,))
     assert arm.scale == 0.0 and arm.children == []
 
 
