@@ -111,7 +111,7 @@ class ParamSchedule:
         beta = min(beta, self._running_min)
         self._running_min = beta
         gamma = min(0.5, self.gamma_coeff * a_size * beta)
-        return ParamValues(beta=beta, beta_tilde=beta, gamma=gamma, eta=beta)
+        return ParamValues(beta, beta, gamma, beta)  # beta_tilde = eta = beta
 
 
 # --------------------------------------------------------------------------
@@ -209,6 +209,7 @@ class AlgState:
         self.nodes = [u for u, _ in level]  # underlying CubeNode / DagNode
         self.ids = tuple(self._register(u, log_cp, None, 1)
                          for u, log_cp in level)
+        self.arms = self._arms_of(self.ids)  # each node's arm, as select plays
         self.g_hat = np.zeros(len(level))
         self.s_conf = np.zeros(len(level))
         self.log_c_prod = np.array([log_cp for _, log_cp in level])
@@ -232,6 +233,10 @@ class AlgState:
             )
         )
         return nid
+
+    def _arms_of(self, ids) -> list:
+        table = self.trace.node_table
+        return [table[i].arm for i in ids]
 
     @property
     def n_active(self) -> int:
@@ -264,15 +269,16 @@ def distribution(state: AlgState, pv: ParamValues) -> np.ndarray:
     """
     w = pv.eta * state.g_hat
     w -= state.log_c_prod
-    top = w.max()
+    # the ufunc reductions that ndarray.max, .min and .sum call
+    top = np.maximum.reduce(w)
     # NaN propagates through both reductions, so this is "all finite"
-    if not (math.isfinite(top) and math.isfinite(w.min())):
+    if not (math.isfinite(top) and math.isfinite(np.minimum.reduce(w))):
         raise ArithmeticError(f"non-finite weight exponent at round {state.t}")
     w -= top
     p = np.exp(w, out=w)
-    p /= p.sum()
+    p /= np.add.reduce(p)
     p *= 1.0 - pv.gamma
-    p += pv.gamma / state.n_active
+    p += pv.gamma / len(p)
     return p
 
 
@@ -287,10 +293,9 @@ def select(state: AlgState, pi: np.ndarray):
         n = min(ROUND_BLOCK, state.T)
         state._u = uniform(state.select_key, np.arange(t, t + n)).tolist()
     u = state._u[t - state._u_lo]
-    idx = int(pi.cumsum().searchsorted(u, side="right"))
-    idx = min(idx, state.n_active - 1)
-    arm = state.trace.node_table[state.ids[idx]].arm
-    return idx, arm
+    idx = int(np.add.accumulate(pi).searchsorted(u, side="right"))
+    idx = min(idx, len(pi) - 1)
+    return idx, state.arms[idx]
 
 
 def estimate(state: AlgState, chosen: int, reward: float, pi: np.ndarray,
@@ -301,7 +306,7 @@ def estimate(state: AlgState, chosen: int, reward: float, pi: np.ndarray,
     if not (0.0 <= reward <= 1.0):
         raise ValueError(f"reward {reward} outside [0, 1]")
     ghat = state.schedule.conf_coeff * pv.beta / pi
-    ghat[chosen] += reward / pi[chosen]
+    ghat[chosen] += reward / pi.item(chosen)
     return ghat
 
 
@@ -316,7 +321,7 @@ def zoom_check(state: AlgState, pi: np.ndarray,
     """Indices of the active nodes to zoom in: both confidence tests clear
     the node's scale L under this round's pi, instantaneous
     beta_tilde + beta/pi <= e^L - 1 and aggregate 1/beta + S_conf <= t*L.
-    Most rounds no node passes the first, so the second is skipped."""
+    The second is taken only on the nodes that pass the first."""
     idx = (pv.beta_tilde + pv.beta / pi <= state.expm1_scale).nonzero()[0]
     if idx.size:
         idx = idx[1.0 / pv.beta + state.s_conf[idx]
@@ -371,6 +376,7 @@ def zoom_in(state: AlgState, zoom_idx: Sequence[int]) -> list:
         state._register(c, log_cp, state.ids[i], state.t + 1)
         for c, log_cp, i in born
     ])
+    state.arms = state._arms_of(state.ids)
     return zoomed_ids
 
 
@@ -381,7 +387,7 @@ def step(state: AlgState, env) -> RoundRecord:
     t = state.t
     if t > state.T:
         raise RuntimeError(f"horizon exhausted: t={t} > T={state.T}")
-    n_before = state.n_active
+    n_before = len(state.nodes)
     pv = state.schedule.advance(t, n_before)
     pi = distribution(state, pv)
     chosen, arm = select(state, pi)
@@ -397,27 +403,16 @@ def step(state: AlgState, env) -> RoundRecord:
         snap_pi = pi  # never written after it is drawn
         snap_ghat = state.g_hat.copy()  # update adds into g_hat in place
 
-    zoomed = []
+    zoomed = ()
     if state.config.zoom_enabled:
         zoom_idx = zoom_check(state, pi, pv)
         if zoom_idx.size:
-            zoomed = zoom_in(state, zoom_idx)
+            zoomed = tuple(zoom_in(state, zoom_idx))
 
-    rec = RoundRecord(
-        t=t,
-        node_id=chosen_id,
-        arm=arm,
-        reward=reward,
-        beta=pv.beta,
-        beta_tilde=pv.beta_tilde,
-        gamma=pv.gamma,
-        eta=pv.eta,
-        n_active=n_before,
-        zoomed=tuple(zoomed),
-        active_ids=snap_ids,
-        pi=snap_pi,
-        g_hat=snap_ghat,
-    )
+    # positional, in RoundRecord's field order
+    rec = RoundRecord(t, chosen_id, arm, reward, pv.beta, pv.beta_tilde,
+                      pv.gamma, pv.eta, n_before, zoomed, snap_ids, snap_pi,
+                      snap_ghat)
     state.trace.append(rec)
     state.t += 1
     return rec

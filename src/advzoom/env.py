@@ -182,9 +182,10 @@ def _single_reward(env, i: int, t: int, arm) -> float:
     A tuple arm's row of a one-arm RewardTable (means or Bernoulli
     thresholds, one per instance, and the arm hash as an int) is kept in
     env._arms; learners play one representative arm per node, so the dict
-    holds at most one entry per node.  The round's hash then runs the block
-    path's splitmix64 on Python ints, and Bernoulli takes its integer
-    compare.
+    holds at most one entry per node.  The round keys r_t are read
+    ROUND_BLOCK rounds at a time from any t, as the block path makes them;
+    the arm's hash then runs splitmix64 once on Python ints, and Bernoulli
+    takes its integer compare.
     """
     entry = env._arms.get(arm) if isinstance(arm, tuple) else None
     if entry is None:
@@ -196,11 +197,24 @@ def _single_reward(env, i: int, t: int, arm) -> float:
     par, arm_hash = entry
     if arm_hash is None:
         return par[i]
-    k = _mix(_mix(int(env._key) ^ _mix(int(t))) ^ arm_hash) >> 11
+    if not 0 <= t - env._lo < len(env._r):
+        env._lo = t
+        env._r = _round_keys(env, np.arange(t, t + ROUND_BLOCK)).tolist()
+    k = _mix(env._r[t - env._lo] ^ arm_hash) >> 11
     if env.noise == "bernoulli":
         return 1.0 if k < par[i] else 0.0
     u = np.array(k * 2.0 ** -53)
     return float(_gauss(u, par[i], env.noise_scale, u))
+
+
+def _round_keys(env, ts) -> np.ndarray:
+    """Noise round keys r_t = splitmix64(key ^ splitmix64(t)) of rounds ts,
+    mixed in place through one scratch."""
+    r = np.asarray(ts, dtype=np.int64).astype(np.uint64)
+    scratch = np.empty_like(r)
+    splitmix64(r, out=r, scratch=scratch)
+    r ^= env._key
+    return splitmix64(r, out=r, scratch=scratch)
 
 
 class RewardTable:
@@ -234,13 +248,7 @@ class RewardTable:
         env, ts = self.env, np.asarray(ts, dtype=np.int64)
         if env.kind == "pricing":
             return env.value(ts), None
-        r = None
-        if env.noise != "none":  # r_t, mixed in place through one scratch
-            r = ts.astype(np.uint64)
-            scratch = np.empty_like(r)
-            splitmix64(r, out=r, scratch=scratch)
-            r ^= env._key
-            splitmix64(r, out=r, scratch=scratch)
+        r = None if env.noise == "none" else _round_keys(env, ts)
         return r, (None if env.schedule is None else env.schedule[ts - 1])
 
     def fill(self, rounds, out, tmp):
@@ -299,6 +307,7 @@ class CombinedEnv:
         self.d = means[0].d
         self._key = stream_key(seed, "env.noise")
         self._arms = {}  # tuple arm -> RewardTable row, see _single_reward
+        self._lo, self._r = 0, []  # round keys of rounds _lo, _lo + 1, ...
 
     def instance_of_round(self, t: int) -> int:
         return 0 if self.schedule is None else int(self.schedule[t - 1])

@@ -10,7 +10,8 @@ bit-reproducible from (config, seed).
 Streams are separated by hashing an ASCII tag (FNV-1a) into the key, so the
 selection stream, the reward-noise stream, and the pricing-value stream never
 collide even under equal seeds.  Per-round draws (selection uniforms,
-pricing values) are taken ROUND_BLOCK rounds at a time.
+pricing values, reward-noise round keys) are taken ROUND_BLOCK rounds at a
+time.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ class NodeMeta:
     n_children: int = 0  # child count at split time
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
     """One round: selection, reward, parameters, zoom events.
 
@@ -119,9 +119,14 @@ class Trace:
                     arm = arms[id(r.arm)] = ";".join([
                         repr(float(x)) if isinstance(x, (int, float))
                         else str(x) for x in r.arm])
-                yield (f"{r.t},{r.node_id},{arm},{float(r.reward)!r},"
-                       f"{float(r.beta)!r},{float(r.beta_tilde)!r},"
-                       f"{float(r.gamma)!r},{float(r.eta)!r},{r.n_active},"
+                # the schedule passes one float object as beta, beta_tilde
+                # and eta; identity, since 0.0 == -0.0 would merge them
+                beta = repr(float(r.beta))
+                tilde = (beta if r.beta_tilde is r.beta
+                         else repr(float(r.beta_tilde)))
+                eta = beta if r.eta is r.beta else repr(float(r.eta))
+                yield (f"{r.t},{r.node_id},{arm},{float(r.reward)!r},{beta},"
+                       f"{tilde},{float(r.gamma)!r},{eta},{r.n_active},"
                        f"{'|'.join(map(str, r.zoomed))}")
         _write_csv(path, TRACE_COLUMNS, lines())
 

@@ -680,6 +680,47 @@ def test_dag_children_shared_by_two_parents_activate_once():
     assert listed > activated
 
 
+def arms_run(name):
+    """(state, env) of a run whose select reads each node's arm from the
+    list kept next to its id."""
+    if name == "dag40":
+        x = (np.arange(40) + np.random.default_rng(4).random(40)) / 40
+        space = FiniteMetricSpace(x.tolist(), np.abs(x[:, None] - x))
+        return (algo.init(space, 1024, AlgoConfig(seed=4, n_dbl=2)),
+                env_from_spec({"kind": "distance_to_target"}, 1024, 4))
+    d = int(name[-1])
+    target = [0.618, 0.382][:d]
+    return (algo.init(d, 4096, AlgoConfig(seed=5, start_height=2)),
+            env_from_spec({"kind": "distance_to_target", "target": target},
+                          4096, 5))
+
+
+@pytest.mark.parametrize("name", ["cube_d1", "cube_d2", "dag40"])
+def test_active_arms_follow_the_ids_after_every_zoom_in(name, monkeypatch):
+    st, environment = arms_run(name)
+
+    def arms_of(state):
+        return [state.trace.node_table[i].arm for i in state.ids]
+
+    assert st.arms == arms_of(st)
+    real, zooms = algo.zoom_in, []
+
+    def checked(state, zoom_idx):
+        zoomed = real(state, zoom_idx)
+        assert state.arms == arms_of(state), f"round {state.t}"
+        zooms.append(len(zoomed))
+        return zoomed
+
+    monkeypatch.setattr(algo, "zoom_in", checked)
+    tr = algo.run(st, environment)
+    assert len(zooms) >= 4
+    if name == "dag40":  # some zoomed balls shared a child
+        listed = sum(tr.node_table[nid].n_children
+                     for _, nid in tr.zoom_events())
+        assert listed > sum(m.parent_id is not None
+                            for m in tr.node_table.values())
+
+
 # -- anytime --------------------------------------------------------------
 
 

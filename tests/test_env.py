@@ -223,6 +223,50 @@ def test_single_arm_reward_equals_block_combined():
     assert_single_arm_rewards_equal_block(env, 256, 1, ts=range(99, 103))
 
 
+# rounds on both sides of the first two round-key windows' edges
+# (ROUND_BLOCK = 256), then back to 2
+WINDOW_EDGES = [1, 255, 256, 257, 511, 512, 513, 2]
+WINDOW_ARMS = [(0.3,), (0.618,), (0.75,)]
+
+
+def assert_reward_is_the_block_at(env, ts):
+    for t in ts:
+        for arm in WINDOW_ARMS:
+            want = float(env.reward_block([t], [arm])[0, 0])
+            assert env.reward(t, arm).hex() == want.hex(), (t, arm)
+
+
+@pytest.mark.parametrize("noise", NOISE_KINDS)
+def test_round_key_window_equals_the_block_stochastic(noise):
+    env = StochasticEnv(tent_mean(), noise=noise, noise_scale=0.2, seed=11)
+    # then past a learner's horizon of T = 600, and back to it
+    assert_reward_is_the_block_at(env, WINDOW_EDGES + [601, 857, 5000, 600])
+
+
+@pytest.mark.parametrize("noise", NOISE_KINDS)
+def test_round_key_window_equals_the_block_combined(noise):
+    m1, m2 = two_bumps()
+    env = make_combined([m1, m2], [(0, 256), (1, 300), (0, 468)],
+                        [(0.1, 0.4), (0.6, 0.9)], [0.2, 0.2], T=1024,
+                        noise=noise, noise_scale=0.2, seed=11)
+    assert_reward_is_the_block_at(env, WINDOW_EDGES + [1024, 768])
+
+
+@pytest.mark.parametrize("noise", NOISE_KINDS)
+@pytest.mark.parametrize("offset", [250, 255, 256, 508])
+def test_round_key_window_through_an_offset_env(noise, offset):
+    from advzoom.algo import _OffsetEnv
+
+    env = StochasticEnv(tent_mean(), noise=noise, noise_scale=0.2, seed=12)
+    local = _OffsetEnv(env, offset)
+    for t in range(1, 13):  # local rounds whose global ones straddle a block
+        if t % 4 == 0:  # moves the window back, so it refills mid-block
+            env.reward(t, WINDOW_ARMS[0])
+        for arm in WINDOW_ARMS:
+            want = float(env.reward_block([t + offset], [arm])[0, 0])
+            assert local.reward(t, arm).hex() == want.hex(), (t, arm)
+
+
 def test_phase_schedule_and_arbitrary_interleaving():
     sched = phase_schedule([(1, 3), (0, 2)])
     assert sched.tolist() == [1, 1, 1, 0, 0]
