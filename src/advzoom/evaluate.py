@@ -11,7 +11,6 @@ accumulators.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
@@ -72,31 +71,21 @@ def grid_eps_for(d: int, T: int, eps: Optional[float] = None) -> float:
     return float(e)
 
 
-def _replay(env, grid: np.ndarray, T: int, checkpoints=None):
-    """One pass over the reward table, in blocks of every grid arm x
-    _CELLS // n rounds.
-
-    Returns (cum_best, totals) where cum_best[t-1] = max over grid arms of
-    their cumulative reward through round t, and totals is (n_grid,) at T or
-    (n_grid, len(checkpoints)) when checkpoint rounds are given.
-
-    A grid of at least _WIDE arms lays its block out rounds x arms, and the
-    running sum adds each round's row to the one before it: one add across
-    every arm per round.  A narrower grid lays it out arms x rounds and runs
-    one cumsum per arm, because below _WIDE arms a call per round costs
-    more than the cumsum it replaces.  Either way each block starts from
-    the previous block's last totals, so every partial sum is the same IEEE
-    addition, in the same order, as one cumsum over all T rounds: the
-    result is bit-identical whatever the block shape or layout.  The two
-    block buffers are allocated once, so memory is one block (at least one
-    round of every arm) whatever T is.
+def _replay(env, grid: np.ndarray, T: int):
+    """Regret's pass over the reward table: (cum_best, totals), with
+    cum_best[t-1] the max over grid arms of their cumulative reward through
+    round t and totals theirs at T.  Blocks of every grid arm x _CELLS // n
+    rounds fill two buffers allocated once, so memory does not grow with T.
+    A grid of at least _WIDE arms lays a block out rounds x arms and adds
+    each round's row to the one before it; a narrower one lays it out arms
+    x rounds and runs a cumsum per arm, as a call per round costs more.
+    Each block starts from the previous one's last totals, so every partial
+    sum is the same IEEE addition, in order, as one cumsum over T rounds.
     """
     n = len(grid)
     if n == 0:
         raise ValueError("empty evaluation grid: no arm to replay")
     cum_best = np.full(T, -np.inf)
-    cps = np.asarray([T] if checkpoints is None else checkpoints, dtype=int)
-    totals = np.zeros((n, len(cps)))
     table = RewardTable(env, grid)
     wide = n >= _WIDE
     B = min(T, max(1, _CELLS // n))
@@ -117,11 +106,41 @@ def _replay(env, grid: np.ndarray, T: int, checkpoints=None):
             np.cumsum(rb, axis=1, out=rb)
         best = cum_best[t0:t0 + k]
         np.maximum(best, arms.max(axis=0), out=best)
-        hit = (cps > t0) & (cps <= t0 + k)
-        if hit.any():
-            totals[:, hit] = arms[:, cps[hit] - 1 - t0]
         carry = arms[:, -1].copy()
-    return cum_best, (totals[:, 0] if checkpoints is None else totals)
+    return cum_best, carry
+
+
+def _totals(env, grid: np.ndarray, ts) -> np.ndarray:
+    """(n_grid, len(ts)) totals of every grid arm through each of the
+    ascending end-times ts, with no per-round curve.  Blocks of _CELLS // n
+    rounds are laid out rounds x arms, and their rows are summed in runs
+    cut at every end-time: the carry goes into a run's first row, and one
+    np.add.reduce down the rounds sums the run into it.  numpy sums
+    pairwise only along the contiguous axis, so the rows add in order, as
+    in _replay (a one-arm block is summed pairwise, but its only gap is 0
+    either way).  gaps_at on the analysis benchmark: 36.8 -> 30.6 ms at
+    d = 1 and 17.3 -> 15.1 ms at d = 2, against a running sum that also
+    kept a per-round best."""
+    n = len(grid)
+    if n == 0:
+        raise ValueError("empty evaluation grid: no arm to replay")
+    table, B = RewardTable(env, grid), min(ts[-1], max(1, _CELLS // n))
+    buf, tmp = np.empty(n * B), np.empty(n * B, dtype=np.uint64)
+    totals, carry, j = np.empty((n, len(ts))), np.empty(n), 0
+    for lo in range(0, ts[-1], B):
+        k = min(B, ts[-1] - lo)
+        rb, rt = buf[:n * k].reshape(k, n), tmp[:n * k].reshape(k, n)
+        table.fill(table.rounds(np.arange(lo + 1, lo + k + 1)), rb.T, rt.T)
+        a = 0
+        while a < k:  # the rows up to the next end-time, or the block's end
+            c = min(k, ts[j] - lo)
+            if lo + a:
+                rb[a] += carry
+            np.add.reduce(rb[a:c], axis=0, out=carry)
+            if lo + c == ts[j]:
+                totals[:, j], j = carry, j + 1
+            a = c
+    return totals
 
 
 # --------------------------------------------------------------------------
@@ -194,12 +213,19 @@ def gaps_at(env, grid: np.ndarray, ts) -> np.ndarray:
     """Time-averaged gap of every grid arm at each end-time in ts.
 
     gap_t(x) = (max_y sum_{tau<=t} g_tau(y) - sum_{tau<=t} g_tau(x)) / t,
-    with the max taken over the same grid.
+    with the max taken over the same grid; ts holds ints >= 1, at least
+    one.  The totals come from _totals, whose buffers are freed on return.
     """
-    ts = np.asarray(sorted(set(int(t) for t in ts)), dtype=int)
-    _, totals = _replay(env, grid, int(ts.max()), checkpoints=ts)
+    ts = list(ts)
+    bad = [t for t in ts if isinstance(t, bool)
+           or not isinstance(t, (int, np.integer)) or t < 1]
+    if bad or not ts:
+        raise ValueError("end-times must be ints >= 1, got "
+                         + (repr(bad[0]) if bad else "none"))
+    ts = sorted(set(map(int, ts)))
+    totals = _totals(env, grid, ts)
     best = totals.max(axis=0)
-    return (best[None, :] - totals) / ts[None, :]
+    return (best[None, :] - totals) / np.asarray(ts)[None, :]
 
 
 def eps_ladder_times(eps: float, T: int) -> list:
@@ -249,11 +275,14 @@ def covering_count(points, eps: float) -> int:
     pts = np.atleast_2d(pts) if pts.size else pts
     cols = np.ascontiguousarray(pts.T)  # sup distance folded axis by axis
 
-    def dist_to(c, idx):
-        return functools.reduce(np.maximum,
-                                [np.abs(col[idx] - col[c]) for col in cols])
+    def dist(a, b):  # sup distances, the |a| x |b| array built in place
+        out = np.zeros((len(a), len(b)))
+        for col in cols:
+            diff = np.subtract.outer(col[a], col[b])
+            np.maximum(out, np.abs(diff, out=diff), out=out)
+        return out
 
-    return len(greedy_net(len(pts), dist_to, eps / 2.0))
+    return len(greedy_net(len(pts), dist, eps / 2.0))
 
 
 @dataclass

@@ -34,6 +34,30 @@ def tied_points(rng, n, d):
     return rng.integers(0, k + 1, size=(n, d)) / k
 
 
+# set sizes around greedy_net's 64-point passes, the last one large enough
+# that a pass's centres x rest distances are cut into chunks
+NET_EDGE_SIZES = (63, 64, 65, 129, 400)
+
+
+def net_edge_points(rng, n, d):
+    """n points of [0,1]^d on a grid fine enough that most are distinct,
+    with about one in eight a copy of another point."""
+    k = 4 * int(np.ceil(n ** (1.0 / d)))
+    pts = rng.integers(0, k + 1, size=(n, d)) / k
+    dup = rng.choice(n, n // 8, replace=False)
+    pts[dup] = pts[rng.integers(0, n, len(dup))]
+    return pts
+
+
+def net_edge_eps(rng, dist):
+    """Ten cover scales of cover_eps_ladder(dist), its least and largest
+    included: most put a point exactly on the cover radius."""
+    ladder = cover_eps_ladder(dist)
+    inner = rng.choice(len(ladder) - 2, min(8, len(ladder) - 2),
+                       replace=False)
+    return [ladder[0], *(ladder[1 + i] for i in sorted(inner)), ladder[-1]]
+
+
 def sup_dist(pts):
     return np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
 

@@ -28,7 +28,8 @@ from advzoom.evaluate import (
 )
 from advzoom.metric import FiniteMetricSpace
 from advzoom.trace import NodeMeta, RoundRecord, Trace
-from conftest import GOLD, cover_eps_ladder, sup_dist, tent_mean, tied_points
+from conftest import (GOLD, NET_EDGE_SIZES, cover_eps_ladder, net_edge_eps,
+                      net_edge_points, sup_dist, tent_mean, tied_points)
 
 
 def adversarial_gap(env, grid, t, x):
@@ -205,6 +206,25 @@ def test_gap_two_arm_deterministic():
     assert gaps[1].tolist() == pytest.approx([1.0, 1.0])
 
 
+@pytest.mark.parametrize("ts, named", [
+    ([0], "0"), ([], "none"), ([-3, 4], "-3"), ([2.5, 4], "2.5"),
+    ([4, True], "True"), ([4.0], "4.0"),
+])
+def test_gaps_at_rejects_end_times_that_are_not_ints_from_one(ts, named):
+    env = det_env(([0, 1], [0.5, 0.5]))
+    with pytest.raises(ValueError, match=re.escape(
+            f"end-times must be ints >= 1, got {named}")):
+        gaps_at(env, grid_points(1, 1 / 4), ts)
+
+
+def test_gaps_at_takes_numpy_ints_unsorted_and_repeated():
+    env = det_env(([0, 0.49, 0.51, 1], [1.0, 1.0, 0.0, 0.0]))
+    grid = np.array([[0.25], [0.75]])
+    got = gaps_at(env, grid, np.array([16, 4, 16], dtype=np.int32))
+    assert got.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+    assert gaps_at(env, grid, (t for t in (4, 16))).tolist() == got.tolist()
+
+
 def test_gap_tracks_iid_gap_on_stochastic_instance(tent_env):
     env = tent_env(seed=12)
     grid = grid_points(1, 1 / 64)
@@ -286,6 +306,9 @@ for _noise in ("bernoulli", "none", "gauss"):
 for _case, (_make, _grid) in list(REPLAY_CASES.items()):
     REPLAY_CASES[f"{_case}_wide"] = (_make,
                                      WIDE_D2 if _grid is GRID_D2 else WIDE_D1)
+# grids of one and two arms: one-column and two-column blocks
+REPLAY_CASES["one_arm"] = (combined_switching_at(BLOCK + 1), GRID_D1[50:51])
+REPLAY_CASES["two_arms"] = (combined_switching_at(BLOCK + 1), GRID_D1[20:22])
 
 
 @pytest.mark.parametrize("T", [1, BLOCK - 3, BLOCK, 2 * BLOCK + 1])
@@ -295,11 +318,19 @@ def test_blocked_replay_is_bit_identical_to_one_pass(case, T):
     env = make(T)
     cps = sorted({t for t in (1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1)
                   if t <= T} | {T})
-    for checkpoints in (None, cps):
-        want = single_pass_replay(env, grid, T, checkpoints)
-        got = evaluate._replay(env, grid, T, checkpoints)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+    want = single_pass_replay(env, grid, T)
+    got = evaluate._replay(env, grid, T)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    want = single_pass_replay(env, grid, T, cps)[1]
+    got = evaluate._totals(env, grid, cps)
+    if len(grid) > 1:
+        assert np.array_equal(got, want)
+    else:
+        # numpy sums a one-column block pairwise, not row by row, so one
+        # arm's totals may differ from a cumsum in the last bits; gaps_at
+        # makes its only gap 0 either way
+        assert np.array_equal(gaps_at(env, grid, cps), np.zeros_like(got))
 
 
 @pytest.mark.parametrize("T", [1, BLOCK - 3, BLOCK, 2 * BLOCK + 1])
@@ -476,6 +507,15 @@ def test_covering_count_matches_the_reference_loop(d):
         for eps in [2.0 ** -k for k in range(0, 8)]:
             assert covering_count(subset, eps) == \
                 covering_count_reference(subset, eps)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [*NET_EDGE_SIZES, 700])
+def test_covering_count_matches_the_reference_across_net_passes(n, d):
+    rng = np.random.default_rng(n + d)
+    pts = net_edge_points(rng, n, d)
+    for eps in net_edge_eps(rng, sup_dist(pts)):
+        assert covering_count(pts, eps) == covering_count_reference(pts, eps)
 
 
 def test_dimension_fit_recovers_exact_ladders():

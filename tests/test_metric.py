@@ -26,7 +26,8 @@ from advzoom.metric import (
     greedy_cover,
     representative,
 )
-from conftest import cover_eps_ladder, euclid_dist, sup_dist, tied_points
+from conftest import (NET_EDGE_SIZES, cover_eps_ladder, euclid_dist,
+                      net_edge_eps, net_edge_points, sup_dist, tied_points)
 
 
 def unit_space(dist):
@@ -412,6 +413,31 @@ def test_greedy_cover_matches_the_reference_loop(d):
         sp = FiniteMetricSpace(list(range(n)), dist)
         for eps in cover_eps_ladder(dist):
             assert greedy_cover(sp, eps) == greedy_cover_reference(sp, eps)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", NET_EDGE_SIZES)
+def test_greedy_cover_matches_the_reference_across_net_passes(n, d):
+    rng = np.random.default_rng(100 + n + d)
+    dist = sup_dist(net_edge_points(rng, n, d))
+    sp = FiniteMetricSpace(list(range(n)), dist)
+    for eps in net_edge_eps(rng, dist):
+        assert greedy_cover(sp, eps) == greedy_cover_reference(sp, eps)
+
+
+def test_greedy_net_cuts_the_rest_into_chunks():
+    # 400 distinct points and a radius below their spacing: every point is
+    # a centre, so each pass's 64 centres meet the rest in chunks
+    x = np.arange(400) / 400
+    calls = []
+
+    def dist(a, b):
+        calls.append((len(a), len(b)))
+        return np.abs(np.subtract.outer(x[a], x[b]))
+
+    assert metric.greedy_net(len(x), dist, 1 / 1000) == list(range(400))
+    assert all(r * c <= metric._NET_CELLS for r, c in calls)
+    assert calls[:4] == [(64, 64), (64, 256), (64, 80), (64, 64)]
 
 
 # -- zooming DAG -------------------------------------------------------------
