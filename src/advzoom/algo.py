@@ -30,7 +30,7 @@ from .metric import (
     DagNode,
     FiniteMetricSpace,
     build_zooming_dag,
-    cube_level,
+    cube_root,
     representative,
 )
 from .rng import ROUND_BLOCK, stream_key, uniform
@@ -124,11 +124,8 @@ class AlgoConfig:
     seed: int = 0
     repr_policy: str = "center"
     record_state: bool = True  # keep per-round pi / G_hat snapshots
-    zoom_enabled: bool = True
-    start_height: int = 0  # activate the full level at this height initially
-    # overrides of the covering dimension and doubling constant; they feed
-    # the schedule and the trace header only, the space keeps its own geometry
-    d: Optional[float] = None
+    # override of the doubling constant; it feeds the schedule and the trace
+    # header only, the space keeps its own geometry
     n_dbl: Optional[int] = None
     param_override: Optional[ParamValues] = None
     # scale c on both log-T schedule coefficients (see ParamSchedule); the
@@ -141,9 +138,10 @@ class AlgState:
     run independent seeds in separate states.
 
     `space` is a cube dimension d, a FiniteMetricSpace (played on its
-    zooming DAG), or a (K, d) array of fixed arms.  Each fixed arm is a
-    zero-scale node with no children, so the zoom test never passes and A_t
-    stays all K arms.
+    zooming DAG), or a (K, d) array of fixed arms.  A cube or DAG starts
+    at its root and zooms; a fixed arm set is flat: each arm is a
+    zero-scale node with no children, A_t stays all K arms, and rounds
+    skip the zoom test.
     """
 
     def __init__(self, space, T: int, config: AlgoConfig):
@@ -152,67 +150,54 @@ class AlgState:
         self.config = config
         self.T = T
         self.t = 1
-        h = config.start_height
 
         # the space alone fixes its kind, dimension, doubling constant and
-        # the start level's (node, log c_prod) pairs
+        # A_1: the root, or every fixed arm
         if isinstance(space, int):
             kind, d, n_dbl = "cube", space, 2**space
-            # equal split from the root: log c_prod = h * ln(2^d)
-            level = [(u, h * math.log(2**space)) for u in cube_level(space, h)]
+            level = [cube_root(space)]
         elif isinstance(space, np.ndarray):
             if space.ndim != 2 or len(space) == 0:
                 raise ValueError(f"arm array must be (K, d), got {space.shape}")
-            if h != 0:
-                raise ValueError("a fixed arm set has no level below height 0")
             kind, d, n_dbl = "arms", space.shape[1], 2 ** space.shape[1]
-            # one zero-scale, childless node per arm, all of equal weight
-            level = [(DagNode(node_id=(0, k), scale=0.0, arm=tuple(arm)), 0.0)
+            level = [DagNode(node_id=(0, k), scale=0.0, arm=tuple(arm))
                      for k, arm in enumerate(space)]
         elif isinstance(space, FiniteMetricSpace):
             dag = build_zooming_dag(
                 space, max_height=int(math.ceil(math.log2(max(2, T)))) + 1)
-            if h > dag.max_height:
-                raise ValueError(
-                    f"start_height {h} exceeds DAG height {dag.max_height}")
             kind, d = "dag", 1
             n_dbl = space.doubling.value if config.n_dbl is None else None
-            # uniform inherited weight across the level (root's equal split,
-            # iterated); exact lineage is ambiguous in a DAG, so use level size
-            ids = dag.levels[h]
-            log_cp = math.log(len(ids))
-            level = [(dag.nodes[nid], log_cp) for nid in ids]
+            level = [dag.nodes[dag.levels[0][0]]]
         else:
             raise TypeError(f"unsupported space {type(space)!r}")
         self.kind = kind
-        self.d = float(config.d if config.d is not None else d)
+        self.zooms = kind != "arms"
+        ov = config.param_override
+        if self.zooms and ov is not None and not ov.beta > 0:
+            # the zoom test divides by beta, and a negative beta passes it
+            # on nodes past the height bound
+            raise ValueError(f"param_override beta must be > 0 on a {kind} "
+                             f"space, which zooms; got {ov.beta!r}")
         self.n_dbl = int(config.n_dbl if config.n_dbl is not None else n_dbl)
 
         self.schedule = ParamSchedule(
-            T, self.n_dbl, self.d, override=config.param_override,
-            coeff_scale=config.coeff_scale,
-        )
+            T, self.n_dbl, d, override=ov, coeff_scale=config.coeff_scale)
         self.select_key = stream_key(config.seed, SELECT_STREAM)
         # selection uniforms of rounds _u_lo, _u_lo + 1, ... (see select)
         self._u_lo, self._u = 0, []
 
-        self.trace = Trace(
-            algorithm="adversarial_zooming",
-            T=T,
-            d=int(self.d) if self.d.is_integer() else self.d,
-            n_dbl=self.n_dbl,
-            seed=config.seed,
-            space_kind=kind,
-        )
+        self.trace = Trace(algorithm="adversarial_zooming", T=T, d=d,
+                           n_dbl=self.n_dbl, seed=config.seed,
+                           space_kind=kind)
 
-        # hot per-node state, parallel to self.nodes (activation order)
-        self.nodes = [u for u, _ in level]  # underlying CubeNode / DagNode
-        self.ids = tuple(self._register(u, log_cp, None, 1)
-                         for u, log_cp in level)
+        # hot per-node state, parallel to self.nodes (activation order);
+        # A_1 has weights all one, so every log c_prod is 0
+        self.nodes = level  # underlying CubeNode / DagNode
+        self.ids = tuple(self._register(u, 0.0, None, 1) for u in level)
         self.arms = self._arms_of(self.ids)  # each node's arm, as select plays
         self.g_hat = np.zeros(len(level))
         self.s_conf = np.zeros(len(level))
-        self.log_c_prod = np.array([log_cp for _, log_cp in level])
+        self.log_c_prod = np.zeros(len(level))
         self.scale, self.expm1_scale = _geometry(self.nodes)
 
     def _register(self, node, log_cp, parent_id, tau0) -> int:
@@ -251,7 +236,8 @@ def _geometry(nodes) -> tuple:
 
 
 def init(space, T: int, config: Optional[AlgoConfig] = None) -> AlgState:
-    """Fresh state: A_1 is the root (weights all one), schedule empty."""
+    """Fresh state: A_1 is the root, or every arm of a fixed arm set
+    (weights all one), schedule empty."""
     return AlgState(space, T, config or AlgoConfig())
 
 
@@ -383,7 +369,8 @@ def zoom_in(state: AlgState, zoom_idx: Sequence[int]) -> list:
 def step(state: AlgState, env) -> RoundRecord:
     """Play one round: params, distribution, selection, reward, estimate,
     update, then the zoom pass over the nodes that were active this round
-    (children activated now are first eligible next round)."""
+    (children activated now are first eligible next round); a fixed arm
+    set has no zoom pass."""
     t = state.t
     if t > state.T:
         raise RuntimeError(f"horizon exhausted: t={t} > T={state.T}")
@@ -404,7 +391,7 @@ def step(state: AlgState, env) -> RoundRecord:
         snap_ghat = state.g_hat.copy()  # update adds into g_hat in place
 
     zoomed = ()
-    if state.config.zoom_enabled:
+    if state.zooms:
         zoom_idx = zoom_check(state, pi, pv)
         if zoom_idx.size:
             zoomed = tuple(zoom_in(state, zoom_idx))

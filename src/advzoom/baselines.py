@@ -63,15 +63,16 @@ def default_params(K: int, T: int) -> algo.ParamValues:
 
 
 class Exp3PState(algo.AlgState):
-    """The learner's state over the arm rows: zooming off, constant params
-    (default_params unless given) and confidence coefficient 1."""
+    """The learner's state over the arm rows, a flat space that never zooms:
+    constant params (default_params unless given) and confidence
+    coefficient 1."""
 
     def __init__(self, arms: np.ndarray, T: int, seed: int = 0,
                  params: Optional[algo.ParamValues] = None,
                  record_state: bool = False):
         arms = np.atleast_2d(np.asarray(arms, dtype=np.float64))
         super().__init__(arms, T, algo.AlgoConfig(
-            seed=seed, record_state=record_state, zoom_enabled=False,
+            seed=seed, record_state=record_state,
             param_override=params or default_params(len(arms), T)))
         self.schedule.conf_coeff = 1.0
         self.trace.algorithm = "exp3p_uniform"

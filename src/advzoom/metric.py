@@ -113,14 +113,6 @@ def cube_children(u: CubeNode) -> list:
             for q in range(1 << len(cell))]
 
 
-def cube_level(d: int, height: int) -> list:
-    """All 2**(d*height) cube nodes at the given height."""
-    nodes = [cube_root(d)]
-    for _ in range(height):
-        nodes = [v for u in nodes for v in cube_children(u)]
-    return nodes
-
-
 def representative(u, policy: str = "center", seed: int = 0) -> tuple:
     """Fixed data-independent arm inside node u.
 

@@ -46,51 +46,44 @@ def test_init_single_root():
         algo.init(1, 0, AlgoConfig())
 
 
-def test_dimension_override_feeds_the_schedule_not_the_cube():
-    st = algo.init(1, 16, AlgoConfig(d=2.0))
-    assert [n.center for n in st.nodes] == [(0.5,)]
-    assert st.trace.d == 2 and st.schedule.d == 2.0
-    arm = algo.step(st, ConstEnv(1.0)).arm
-    assert arm == (0.5,)
-
-
-def test_fractional_dimension_override_on_a_cube():
-    half = algo.init(1, 16, AlgoConfig(d=0.5))
-    assert half.d == 0.5 and half.trace.d == 0.5
-    assert [n.center for n in half.nodes] == [(0.5,)]
-
-
-def test_cube_start_level_log_c_prod_uses_the_cubes_dimension():
-    st = algo.init(2, 16, AlgoConfig(d=1.0, start_height=1))
-    assert st.n_active == 4
-    assert st.log_c_prod.tolist() == [math.log(4)] * 4
-    assert [st.trace.node_table[i].log_c_prod for i in st.ids] \
-        == [math.log(4)] * 4
-
-
 def test_fixed_arm_space_is_flat_and_never_zooms():
     arms = np.array([[0.2], [0.8]])
-    st = algo.init(arms, 64, AlgoConfig(seed=1))  # zooming left on
+    st = algo.init(arms, 64, AlgoConfig(seed=1))
     tr = algo.run(st, ConstEnv(1.0))
-    assert st.kind == "arms" and st.n_active == 2 and tr.zoom_events() == []
+    assert st.kind == "arms" and not st.zooms
+    assert st.n_active == 2 and tr.zoom_events() == []
     assert [(m.arm, m.scale, m.log_c_prod) for m in tr.node_table.values()] \
         == [((0.2,), 0.0, 0.0), ((0.8,), 0.0, 0.0)]
-    with pytest.raises(ValueError, match="height 0"):
-        algo.init(arms, 8, AlgoConfig(start_height=1))
     with pytest.raises(ValueError, match="must be"):
         algo.init(arms[:, 0], 8)
 
 
 @pytest.mark.parametrize("space,error,message", [
-    (FiniteMetricSpace([0, 1], [[0, 1], [1, 0]]), ValueError,
-     "start_height 6 exceeds DAG height 5"),
     (2.0, TypeError, "unsupported space <class 'float'>"),
 ])
 def test_init_names_a_start_it_cannot_make(space, error, message):
-    # T = 16 builds a DAG of height ceil(log2 T) + 1 = 5
     with pytest.raises(error) as err:
-        algo.init(space, 16, AlgoConfig(start_height=6))
+        algo.init(space, 16, AlgoConfig())
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("beta", [0.0, -0.1, float("nan")])
+def test_a_space_that_zooms_refuses_a_beta_not_above_zero(beta):
+    # the zoom test divides by beta (beta = 0 raised ZeroDivisionError at
+    # t = 1 on a d=1 cube at T = 16), and beta = -0.1 passed it on a node
+    # past the height bound at t = 6
+    ov = ParamValues(beta, 0.1, 0.5, 0.1)
+    dag = FiniteMetricSpace([0.0, 1.0], [[0, 1], [1, 0]])
+    for space, kind in ((1, "cube"), (2, "cube"), (dag, "dag")):
+        with pytest.raises(ValueError) as err:
+            algo.init(space, 16, AlgoConfig(param_override=ov))
+        assert str(err.value) == (
+            f"param_override beta must be > 0 on a {kind} space, which "
+            f"zooms; got {beta!r}")
+    if beta == 0.0:  # a fixed arm set has no zoom test, so it takes it
+        st = algo.init(np.array([[0.2], [0.8]]), 16,
+                       AlgoConfig(param_override=ov))
+        assert algo.run(st, ConstEnv(0.5)).n_rounds == 16
 
 
 # -- parameter schedule --------------------------------------------------
@@ -309,14 +302,17 @@ def on_the_bound(f, bound, x):
 def zoom_test_states():
     """Active sets with mixed scales on a d=1 and a d=2 cube, a DAG and
     a fixed arm set."""
-    cube1 = algo.init(1, 1024, AlgoConfig(start_height=1))
+    cube1 = algo.init(1, 1024)
+    algo.zoom_in(cube1, [0])
     algo.zoom_in(cube1, [0])
     algo.zoom_in(cube1, [1])
-    cube2 = algo.init(2, 1024, AlgoConfig(start_height=1))
+    cube2 = algo.init(2, 1024)
+    algo.zoom_in(cube2, [0])
     algo.zoom_in(cube2, [2])
     x = (np.arange(30) + np.random.default_rng(2).random(30)) / 30
     dag = algo.init(FiniteMetricSpace(x.tolist(), np.abs(x[:, None] - x)),
-                    1024, AlgoConfig(n_dbl=2, start_height=1))
+                    1024, AlgoConfig(n_dbl=2))
+    algo.zoom_in(dag, [0])
     algo.zoom_in(dag, [0])
     arms = algo.init(np.array([[0.2], [0.5], [0.8]]), 1024)
     return {"cube1": cube1, "cube2": cube2, "dag": dag, "arms": arms}
@@ -541,14 +537,6 @@ def test_two_dimensional_run():
     assert rep.n_grid == 65**2 and rep.regret > 0
 
 
-def test_cube_start_height():
-    st = algo.init(1, 64, algo.AlgoConfig(seed=0, start_height=2,
-                                          zoom_enabled=False))
-    assert st.n_active == 4
-    assert st.log_c_prod.tolist() == pytest.approx([2 * math.log(2)] * 4)
-    assert {n.center[0] for n in st.nodes} == {0.125, 0.375, 0.625, 0.875}
-
-
 # -- finite metric spaces ------------------------------------------------
 
 
@@ -564,14 +552,10 @@ def test_run_on_finite_space():
     assert played <= set(pts)
 
 
-# SHA-256 of trace CSVs on the DAG and d=2 start-height paths, pinned before
-# all node kinds shared one scale/children protocol
-DAG_START_HEIGHT_CSV_SHA256 = {
-    0: "a55fce8e7303775053f4f4004715540a0415c223f5613d33fd78f2620ef407d2",
-    1: "9dc40e7494f4e8a01d2e5ce264c520d488794b186e3d702416bc1f47d59bf180",
-}
-CUBE_D2_START_HEIGHT_CSV_SHA256 = (
-    "a9949264ea72458b56ac69da27572d267972cb087b718a80f59bb5ca70c79436"
+# SHA-256 of a DAG run's trace CSV, pinned before all node kinds shared one
+# scale/children protocol
+DAG_CSV_SHA256 = (
+    "a55fce8e7303775053f4f4004715540a0415c223f5613d33fd78f2620ef407d2"
 )
 
 
@@ -580,28 +564,37 @@ def csv_sha256(trace, path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def dag_run(start_height):
+def dag_run():
     # n_dbl is fixed so the pin does not depend on the doubling estimate
     x = (np.arange(30) + np.random.default_rng(2).random(30)) / 30
     space = FiniteMetricSpace(x.tolist(), np.abs(x[:, None] - x))
     environment = env_from_spec({"kind": "distance_to_target"}, 1024, 2)
-    st = algo.init(space, 1024,
-                   AlgoConfig(seed=2, n_dbl=2, start_height=start_height))
-    return algo.run(st, environment)
+    return algo.run(algo.init(space, 1024, AlgoConfig(seed=2, n_dbl=2)),
+                    environment)
 
 
-@pytest.mark.parametrize("start_height", [0, 1])
-def test_dag_trace_is_pinned(tmp_path, start_height):
-    digest = csv_sha256(dag_run(start_height), tmp_path / "trace.csv")
-    assert digest == DAG_START_HEIGHT_CSV_SHA256[start_height]
+def test_dag_trace_is_pinned(tmp_path):
+    assert csv_sha256(dag_run(), tmp_path / "trace.csv") == DAG_CSV_SHA256
 
 
-def test_cube_d2_start_height_trace_is_pinned(tmp_path):
-    environment = env_from_spec(
-        {"kind": "distance_to_target", "target": [0.618, 0.382]}, 1024, 3)
-    st = algo.init(2, 1024, AlgoConfig(seed=3, start_height=1))
+# SHA-256 of the trace CSVs of the root cube run with zooming switched off
+# (a removed option), pinned before it was removed: the learner on the
+# one-arm space at the cube's centre is that learner
+ONE_ARM_CSV_SHA256 = {
+    1: "7f5ba39c33e2bb4a1f8691e3a299a9b9a1b610f0d883eafcc090b63bd160e0c8",
+    2: "5956bfd0e7a8bab4ca8539f28db0845a6529c6a572b2b12f6456965cc9f4edac",
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_one_arm_space_is_the_learner_that_does_not_zoom(tmp_path, d):
+    spec = {"kind": "distance_to_target"}
+    if d == 2:
+        spec["target"] = [0.618, 0.382]
+    environment = env_from_spec(spec, 1024, 0)
+    st = algo.init(np.full((1, d), 0.5), 1024, AlgoConfig(seed=0))
     digest = csv_sha256(algo.run(st, environment), tmp_path / "trace.csv")
-    assert digest == CUBE_D2_START_HEIGHT_CSV_SHA256
+    assert digest == ONE_ARM_CSV_SHA256[d]
 
 
 # SHA-256 of every round's pi bytes and of every round's g_hat bytes, which
@@ -668,7 +661,7 @@ def test_snapshots_are_pinned(name):
 
 
 def test_dag_children_shared_by_two_parents_activate_once():
-    tr = dag_run(0)
+    tr = dag_run()
     for rec in tr.rounds:
         keys = [(tr.node_table[i].height, tr.node_table[i].arm)
                 for i in rec.active_ids]
@@ -690,7 +683,10 @@ def arms_run(name):
                 env_from_spec({"kind": "distance_to_target"}, 1024, 4))
     d = int(name[-1])
     target = [0.618, 0.382][:d]
-    return (algo.init(d, 4096, AlgoConfig(seed=5, start_height=2)),
+    st = algo.init(d, 4096, AlgoConfig(seed=5))
+    algo.zoom_in(st, [0])  # then every cell at height 1
+    algo.zoom_in(st, range(st.n_active))
+    return (st,
             env_from_spec({"kind": "distance_to_target", "target": target},
                           4096, 5))
 
@@ -754,8 +750,7 @@ def test_assumptions_round_one_flagged():
 
 def test_assumptions_constant_schedule():
     ov = ParamValues(0.25, 0.25, 0.25, 0.25)
-    st = algo.init(1, 2, AlgoConfig(seed=0, param_override=ov,
-                                    zoom_enabled=False))
+    st = algo.init(np.array([[0.5]]), 2, AlgoConfig(seed=0, param_override=ov))
     tr = algo.run(st, ConstEnv(0.4))
     rep = algo.check_assumptions(st.schedule, tr)
     assert rep.violations["eta_le_beta"] == []
@@ -859,7 +854,7 @@ def test_check_assumptions_equals_the_record_loop(case):
 def test_check_assumptions_raises_on_a_zero_beta():
     # only a constant override reaches beta = 0; 1/beta has no value there
     ov = ParamValues(0.0, 0.0, 0.5, 0.0)
-    st = fresh(T=2, param_override=ov, zoom_enabled=False)
+    st = algo.init(np.array([[0.5]]), 2, AlgoConfig(param_override=ov))
     tr = algo.run(st, ConstEnv(0.4))
     with pytest.raises(ZeroDivisionError):
         assumptions_reference(st.schedule, tr)

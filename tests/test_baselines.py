@@ -67,23 +67,21 @@ def test_exp3p_regret_sublinear_smoke():
 
 
 def test_reduction_to_exp3p_on_fixed_nodes():
-    # fixed singleton hierarchy, zooming disabled, matched constants:
-    # the zooming learner's selections coincide with EXP3.P's
+    # the zooming learner on the three singleton balls below the root, with
+    # matched constants: its selections coincide with EXP3.P's.  At
+    # T = 128 it first zooms at t = 114; up to T = 112 it never does
     pts = [0.15, 0.5, 0.85]
-    K, T, seed = len(pts), 128, 6
+    K, T, seed = len(pts), 112, 6
     space = FiniteMetricSpace(pts, 1.0 - np.eye(K))
     env = two_arm_env(seed=seed)
     beta, gamma, eta = 0.02, 0.1, 0.01
     cc = 1.0 + 4.0 * math.log2(T)
-    state = algo.init(
-        space, T,
-        algo.AlgoConfig(
-            seed=seed, zoom_enabled=False, start_height=1,
-            param_override=algo.ParamValues(beta, beta, gamma, eta),
-        ),
-    )
+    state = algo.init(space, T, algo.AlgoConfig(
+        seed=seed, param_override=algo.ParamValues(beta, beta, gamma, eta)))
+    algo.zoom_in(state, [0])
     assert state.n_active == K
     ztr = algo.run(state, env)
+    assert ztr.zoom_events() == []
     bstate = Exp3PState(np.array(pts).reshape(-1, 1), T, seed=seed,
                         params=algo.ParamValues(beta, beta, gamma, eta),
                         record_state=True)

@@ -20,7 +20,6 @@ from advzoom.metric import (
     _balls,
     build_zooming_dag,
     cube_children,
-    cube_level,
     cube_root,
     doubling_constant,
     greedy_cover,
@@ -193,11 +192,6 @@ def test_scale_matches_height():
     for h in range(1, 8):
         node = cube_children(node)[h % 2]
         assert node.scale == pytest.approx(2.0 ** -node.height)
-
-
-def test_cube_level_count():
-    assert len(cube_level(1, 3)) == 8
-    assert len(cube_level(2, 2)) == 16
 
 
 def test_representative_policies():
