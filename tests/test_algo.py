@@ -46,6 +46,26 @@ def test_init_single_root():
         algo.init(1, 0, AlgoConfig())
 
 
+def test_schedule_and_trace_take_d_from_the_space():
+    # a cube's d is its dimension, a fixed arm set's the arms' length, and
+    # a DAG is played at d = 1
+    dag = FiniteMetricSpace([0.0, 1.0], [[0, 1], [1, 0]])
+    for space, d in ((1, 1), (2, 2), (3, 3), (np.array([[0.2, 0.8]]), 2),
+                     (dag, 1)):
+        st = algo.init(space, 16, AlgoConfig())
+        assert st.schedule.d == st.trace.d == d
+
+
+def test_cube_start_level_log_c_prod_uses_the_cubes_dimension():
+    # the root of a d=2 cube has 4 children, so each holds 1/4 of its weight
+    st = algo.init(2, 16, AlgoConfig())
+    algo.zoom_in(st, [0])
+    assert st.n_active == 4
+    assert st.log_c_prod.tolist() == [math.log(4)] * 4
+    assert [st.trace.node_table[i].log_c_prod for i in st.ids] \
+        == [math.log(4)] * 4
+
+
 def test_fixed_arm_space_is_flat_and_never_zooms():
     arms = np.array([[0.2], [0.8]])
     st = algo.init(arms, 64, AlgoConfig(seed=1))
@@ -537,6 +557,16 @@ def test_two_dimensional_run():
     assert rep.n_grid == 65**2 and rep.regret > 0
 
 
+def test_cube_start_height():
+    # two levels zoomed before round 1: the four cells at height 2
+    st = algo.init(1, 64, algo.AlgoConfig(seed=0))
+    algo.zoom_in(st, [0])
+    algo.zoom_in(st, [0, 1])
+    assert st.n_active == 4
+    assert st.log_c_prod.tolist() == pytest.approx([2 * math.log(2)] * 4)
+    assert {n.center[0] for n in st.nodes} == {0.125, 0.375, 0.625, 0.875}
+
+
 # -- finite metric spaces ------------------------------------------------
 
 
@@ -552,10 +582,17 @@ def test_run_on_finite_space():
     assert played <= set(pts)
 
 
-# SHA-256 of a DAG run's trace CSV, pinned before all node kinds shared one
-# scale/children protocol
-DAG_CSV_SHA256 = (
-    "a55fce8e7303775053f4f4004715540a0415c223f5613d33fd78f2620ef407d2"
+# SHA-256 of DAG trace CSVs, pinned before all node kinds shared one
+# scale/children protocol, from the root and from the root's children.  The
+# second is the CSV of the run that started at height 1 (a removed option)
+# with every node id one higher: the root, zoomed before round 1, holds id 0
+DAG_CSV_SHA256 = {
+    0: "a55fce8e7303775053f4f4004715540a0415c223f5613d33fd78f2620ef407d2",
+    1: "3e6c488f8b2832312a5e9f91ccf9394c22ade28846e145e35dbc23573602daad",
+}
+# the same for the d=2 cube's four level-1 cells
+CUBE_D2_LEVEL_1_CSV_SHA256 = (
+    "ecfacd817290a8175938eb22cb72471f3f478f535d3e76e68feec1dd3b9edf39"
 )
 
 
@@ -564,17 +601,31 @@ def csv_sha256(trace, path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def dag_run():
+def dag_run(levels=0):
+    """The DAG run, its root zoomed before round 1 when levels is 1."""
     # n_dbl is fixed so the pin does not depend on the doubling estimate
     x = (np.arange(30) + np.random.default_rng(2).random(30)) / 30
     space = FiniteMetricSpace(x.tolist(), np.abs(x[:, None] - x))
     environment = env_from_spec({"kind": "distance_to_target"}, 1024, 2)
-    return algo.run(algo.init(space, 1024, AlgoConfig(seed=2, n_dbl=2)),
-                    environment)
+    st = algo.init(space, 1024, AlgoConfig(seed=2, n_dbl=2))
+    if levels:
+        algo.zoom_in(st, [0])
+    return algo.run(st, environment)
 
 
-def test_dag_trace_is_pinned(tmp_path):
-    assert csv_sha256(dag_run(), tmp_path / "trace.csv") == DAG_CSV_SHA256
+@pytest.mark.parametrize("levels", [0, 1])
+def test_dag_trace_is_pinned(tmp_path, levels):
+    digest = csv_sha256(dag_run(levels), tmp_path / "trace.csv")
+    assert digest == DAG_CSV_SHA256[levels]
+
+
+def test_cube_d2_start_height_trace_is_pinned(tmp_path):
+    environment = env_from_spec(
+        {"kind": "distance_to_target", "target": [0.618, 0.382]}, 1024, 3)
+    st = algo.init(2, 1024, AlgoConfig(seed=3))
+    algo.zoom_in(st, [0])
+    digest = csv_sha256(algo.run(st, environment), tmp_path / "trace.csv")
+    assert digest == CUBE_D2_LEVEL_1_CSV_SHA256
 
 
 # SHA-256 of the trace CSVs of the root cube run with zooming switched off

@@ -826,6 +826,23 @@ def test_monitor_matches_reference_on_dag_spaces(seed, tent_env):
                                      (evaluate._MONITOR_CELLS,))
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("start_height,n_flagged", [(1, 0), (2, 7), (3, 56)])
+def test_monitor_matches_reference_from_a_deeper_start(
+        seed, start_height, n_flagged, tent_env):
+    # every cell down to start_height is zoomed before round 1.  The
+    # node-count bound (9t)^(d/(d+2)) holds for a run from the root, so a
+    # full level of 2^h nodes is flagged until 9t >= (2^h)^3
+    st = algo.init(1, 4096, algo.AlgoConfig(seed=seed))
+    for _ in range(start_height):
+        algo.zoom_in(st, range(st.n_active))
+    tr = algo.run(st, tent_env(seed=seed))
+    flagged = monitor(tr)
+    assert [v.check for v in flagged] == ["node_count"] * n_flagged
+    assert_monitor_matches_reference(tr, MONITOR_CELLS if start_height == 3
+                                     else (evaluate._MONITOR_CELLS,))
+
+
 def test_monitor_matches_reference_on_anytime_phases(tent_env):
     phases = algo.run_anytime(1, algo.AlgoConfig(seed=2), 3000,
                               tent_env(seed=2))
