@@ -3,8 +3,9 @@
 State per active node is the paper's three scalars — the cumulative
 optimistic estimate G_hat, the cumulative confidence sum S_conf, and
 log c_prod (the log-product of child counts along the ancestry) — plus its
-cached geometry (its scale L and e^L - 1, read by the zoom test) and
-bookkeeping: the node itself and its trace id.  A node is anything with a
+scale L and e^L - 1 (read by the zoom test), its arm, the node itself and
+its trace id.  Arm, log c_prod and L are read from the node's row in the
+trace's node table, written once at activation.  A node is anything with a
 `node_id`, `height`, `scale` and `children` (cube cell, DAG ball or fixed
 arm); rounds and zooming never ask which kind it is.
 Weights are never stored: the closed form
@@ -190,15 +191,9 @@ class AlgState:
                            n_dbl=self.n_dbl, seed=config.seed,
                            space_kind=kind)
 
-        # hot per-node state, parallel to self.nodes (activation order);
         # A_1 has weights all one, so every log c_prod is 0
-        self.nodes = level  # underlying CubeNode / DagNode
-        self.ids = tuple(self._register(u, 0.0, None, 1) for u in level)
-        self.arms = self._arms_of(self.ids)  # each node's arm, as select plays
-        self.g_hat = np.zeros(len(level))
-        self.s_conf = np.zeros(len(level))
-        self.log_c_prod = np.zeros(len(level))
-        self.scale, self.expm1_scale = _geometry(self.nodes)
+        ids = tuple(self._register(u, 0.0, None, 1) for u in level)
+        _activate(self, level, ids, np.zeros(len(level)), np.zeros(len(level)))
 
     def _register(self, node, log_cp, parent_id, tau0) -> int:
         """Add the node's row to the trace's node table; returns its id."""
@@ -219,20 +214,24 @@ class AlgState:
         )
         return nid
 
-    def _arms_of(self, ids) -> list:
-        table = self.trace.node_table
-        return [table[i].arm for i in ids]
-
     @property
     def n_active(self) -> int:
         return len(self.nodes)
 
 
-def _geometry(nodes) -> tuple:
-    """Per-node scale L and e^L - 1.  math.expm1 per node, because np.expm1
-    is not known to agree with it in the last ulp."""
-    return (np.array([u.scale for u in nodes], dtype=np.float64),
-            np.array([math.expm1(u.scale) for u in nodes], dtype=np.float64))
+def _activate(state: AlgState, nodes: list, ids: tuple, g_hat: np.ndarray,
+              s_conf: np.ndarray) -> None:
+    """Make nodes, with trace ids ids, the active set, in that order, with
+    their inherited G_hat and S_conf.  Each node's arm, log c_prod and scale
+    L are read from its node-table row; e^L - 1 is math.expm1 per node,
+    because np.expm1 is not known to agree with it in the last ulp."""
+    rows = [state.trace.node_table[i] for i in ids]
+    state.nodes, state.ids = nodes, ids  # underlying CubeNode / DagNode
+    state.g_hat, state.s_conf = g_hat, s_conf
+    state.arms = [m.arm for m in rows]  # each node's arm, as select plays
+    state.log_c_prod = np.array([m.log_c_prod for m in rows])
+    state.scale = np.array([m.scale for m in rows], dtype=np.float64)
+    state.expm1_scale = np.array([math.expm1(m.scale) for m in rows])
 
 
 def init(space, T: int, config: Optional[AlgoConfig] = None) -> AlgState:
@@ -346,23 +345,14 @@ def zoom_in(state: AlgState, zoom_idx: Sequence[int]) -> list:
             active.add(child.node_id)
             born.append((child, log_cp, i))
 
-    survivors = np.flatnonzero(keep)
-    src = np.concatenate(
-        [survivors, np.array([i for _, _, i in born], dtype=np.intp)])
-    state.g_hat = state.g_hat[src]
-    state.s_conf = state.s_conf[src]
-    state.log_c_prod = np.concatenate(
-        [state.log_c_prod[survivors], [log_cp for _, log_cp, _ in born]])
-    scale, expm1_scale = _geometry([c for c, _, _ in born])
-    state.scale = np.concatenate([state.scale[survivors], scale])
-    state.expm1_scale = np.concatenate(
-        [state.expm1_scale[survivors], expm1_scale])
-    state.nodes = [state.nodes[i] for i in survivors] + [c for c, _, _ in born]
-    state.ids = tuple([state.ids[i] for i in survivors] + [
-        state._register(c, log_cp, state.ids[i], state.t + 1)
-        for c, log_cp, i in born
-    ])
-    state.arms = state._arms_of(state.ids)
+    survivors = np.flatnonzero(keep).tolist()
+    src = survivors + [i for _, _, i in born]
+    _activate(state,
+              [state.nodes[i] for i in survivors] + [c for c, _, _ in born],
+              tuple([state.ids[i] for i in survivors] + [
+                  state._register(c, log_cp, state.ids[i], state.t + 1)
+                  for c, log_cp, i in born]),
+              state.g_hat[src], state.s_conf[src])
     return zoomed_ids
 
 

@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .rng import ROUND_BLOCK, TOP53, _mix, splitmix64, stream_key, uniform
+from .rng import (ROUND_BLOCK, TOP53, _mix, round_keys, splitmix64,
+                  stream_key, uniform)
 
 QUANT_BITS = 40  # arm quantization for the noise counter
 NOISE_KINDS = ("bernoulli", "none", "gauss")
@@ -199,22 +200,12 @@ def _single_reward(env, i: int, t: int, arm) -> float:
         return par[i]
     if not 0 <= t - env._lo < len(env._r):
         env._lo = t
-        env._r = _round_keys(env, np.arange(t, t + ROUND_BLOCK)).tolist()
+        env._r = round_keys(env._key, np.arange(t, t + ROUND_BLOCK)).tolist()
     k = _mix(env._r[t - env._lo] ^ arm_hash) >> 11
     if env.noise == "bernoulli":
         return 1.0 if k < par[i] else 0.0
     u = np.array(k * 2.0 ** -53)
     return float(_gauss(u, par[i], env.noise_scale, u))
-
-
-def _round_keys(env, ts) -> np.ndarray:
-    """Noise round keys r_t = splitmix64(key ^ splitmix64(t)) of rounds ts,
-    mixed in place through one scratch."""
-    r = np.asarray(ts, dtype=np.int64).astype(np.uint64)
-    scratch = np.empty_like(r)
-    splitmix64(r, out=r, scratch=scratch)
-    r ^= env._key
-    return splitmix64(r, out=r, scratch=scratch)
 
 
 class RewardTable:
@@ -224,7 +215,7 @@ class RewardTable:
     instance; noise-counter hashes; prices) are computed once, here, and a
     block's per-round ones once, by rounds(ts); fill then writes every arm's
     rewards into caller buffers.  Noise is counter_hash(key, t, q) =
-    splitmix64(r_t ^ splitmix64(q)), r_t = splitmix64(key ^ splitmix64(t)).
+    splitmix64(r_t ^ splitmix64(q)), with r_t = round_keys(key, t).
     Bernoulli compares the hash's top 53 bits k with ceil(mu 2^53): u =
     k 2^-53 < mu iff k < mu 2^53 (an exact scaling) iff k < ceil(mu 2^53).
     """
@@ -248,8 +239,12 @@ class RewardTable:
         env, ts = self.env, np.asarray(ts, dtype=np.int64)
         if env.kind == "pricing":
             return env.value(ts), None
-        r = None if env.noise == "none" else _round_keys(env, ts)
-        return r, (None if env.schedule is None else env.schedule[ts - 1])
+        r = None if env.noise == "none" else round_keys(env._key, ts)
+        if env.schedule is None:
+            return r, None
+        for t in ts.min(initial=1), ts.max(initial=1):  # raise off 1..T
+            env.instance_of_round(int(t))
+        return r, env.schedule[ts - 1]
 
     def fill(self, rounds, out, tmp):
         """Rewards of every arm into out, float64 of shape (n, rounds), with
@@ -310,7 +305,12 @@ class CombinedEnv:
         self._lo, self._r = 0, []  # round keys of rounds _lo, _lo + 1, ...
 
     def instance_of_round(self, t: int) -> int:
-        return 0 if self.schedule is None else int(self.schedule[t - 1])
+        if self.schedule is None:
+            return 0
+        if not 0 < t <= len(self.schedule):
+            raise ValueError(
+                f"round {t} is outside 1..T, T={len(self.schedule)}")
+        return int(self.schedule[t - 1])
 
     def mean_at(self, t: int, xs) -> np.ndarray:
         return self.means[self.instance_of_round(t)](xs)
@@ -361,6 +361,9 @@ def make_combined(means: list, schedule, subsets: list, baselines: list,
     M = len(means)
     if not (len(subsets) == len(baselines) == M):
         raise ValueError("need one subset and one baseline per instance")
+    for i, mean in enumerate(means):  # subsets are intervals of [0, 1]
+        if mean.d != 1:
+            raise ValueError(f"instance {i} has d={mean.d}, not 1")
     if isinstance(schedule, (list, tuple)):  # phases: no huge array first
         lengths = [int(n) for _, n in schedule]
         if min(lengths, default=0) < 0 or sum(lengths) != T:

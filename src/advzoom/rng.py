@@ -70,11 +70,17 @@ def stream_key(seed: int, tag: str) -> np.uint64:
     return splitmix64(np.uint64(seed % (1 << 64)) ^ fnv1a64(tag))[()]
 
 
+def round_keys(key, ts):
+    """Round keys splitmix64(key ^ splitmix64(t)) of rounds ts; a key array
+    broadcasts against ts.  The XOR is mixed in place."""
+    h = np.asarray(np.asarray(key, dtype=np.uint64) ^ splitmix64(ts))
+    return splitmix64(h, out=h)
+
+
 def counter_hash(key, a, b=0):
-    """uint64 hash of (key, a, b); a and b may be arrays (broadcast).  The
-    outer XOR is mixed in place, so a block costs it and one scratch."""
-    h = splitmix64(np.asarray(key, dtype=np.uint64) ^ splitmix64(a))
-    h = np.asarray(h ^ splitmix64(b))
+    """uint64 hash of (key, a, b), splitmix64(round_keys(key, a) ^
+    splitmix64(b)); a and b may be arrays (broadcast)."""
+    h = np.asarray(round_keys(key, a) ^ splitmix64(b))
     return splitmix64(h, out=h)
 
 

@@ -742,23 +742,37 @@ def arms_run(name):
                           4096, 5))
 
 
+def assert_active_set_is_the_node_table(state):
+    """Each active node's arm, log c_prod, L and e^L - 1 (by math.expm1)
+    are its node-table row's, bit for bit."""
+    rows = [state.trace.node_table[i] for i in state.ids]
+    assert state.arms == [m.arm for m in rows], f"round {state.t}"
+    for name, want in (("log_c_prod", [m.log_c_prod for m in rows]),
+                       ("scale", [m.scale for m in rows]),
+                       ("expm1_scale", [math.expm1(m.scale) for m in rows])):
+        assert [float(v).hex() for v in getattr(state, name)] == \
+            [float(v).hex() for v in want], (name, state.t)
+
+
 @pytest.mark.parametrize("name", ["cube_d1", "cube_d2", "dag40"])
 def test_active_arms_follow_the_ids_after_every_zoom_in(name, monkeypatch):
-    st, environment = arms_run(name)
+    real_init, real_zoom_in, zooms = algo.init, algo.zoom_in, []
 
-    def arms_of(state):
-        return [state.trace.node_table[i].arm for i in state.ids]
-
-    assert st.arms == arms_of(st)
-    real, zooms = algo.zoom_in, []
+    def checked_init(*args):
+        state = real_init(*args)
+        assert_active_set_is_the_node_table(state)
+        return state
 
     def checked(state, zoom_idx):
-        zoomed = real(state, zoom_idx)
-        assert state.arms == arms_of(state), f"round {state.t}"
+        zoomed = real_zoom_in(state, zoom_idx)
+        assert_active_set_is_the_node_table(state)
         zooms.append(len(zoomed))
         return zoomed
 
+    monkeypatch.setattr(algo, "init", checked_init)
     monkeypatch.setattr(algo, "zoom_in", checked)
+    st, environment = arms_run(name)  # the cubes zoom twice here
+    zooms.clear()
     tr = algo.run(st, environment)
     assert len(zooms) >= 4
     if name == "dag40":  # some zoomed balls shared a child

@@ -613,6 +613,9 @@ def pricing_target(**values):
      "three.csv: line 2 must be x,mu (two numbers), got '1,0.7,0.2'"),
     ("run", {"env": {"kind": "custom_table", "path": "x.csv"}}, [],
      "x.csv: line 2 must be x,mu (two numbers), got 'x,0.7'"),
+    ("run", {"space": {"kind": "cube", "d": 2}, "env": dict(
+        COMBINED, instances=[TENT_D2, dict(TENT_D2, target=[0.7, 0.2])])},
+     [], "instance 0 has d=2, not 1"),
 ])
 def test_bad_config_exits_2_with_nothing_written(
         tmp_path, monkeypatch, capsys, verb, over, flags, reason):
@@ -1005,15 +1008,33 @@ def test_cover_fit_replays_once_and_matches_per_eps_replays(
     assert "z_hat" in rep
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only Gaussian noise; every other run skips its import
+def python(*args, cwd=None):
+    """A fresh interpreter that imports this advzoom, run to its exit."""
     src = str(Path(advzoom.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, advzoom.cli; assert 'scipy' not in sys.modules"
-    proc = subprocess.run([sys.executable, "-c", code],
+    return subprocess.run([sys.executable, *args], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only Gaussian noise; every other run skips its import
+    code = "import sys, advzoom.cli; assert 'scipy' not in sys.modules"
+    proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("T, rc", [(16, 0), (0, 2)])
+def test_python_m_advzoom_exits_with_mains_status(tmp_path, T, rc):
+    write_config(tmp_path, base_config(T=T))
+    proc = python("-m", "advzoom", "run", "cfg.json", "--out", "o",
+                  cwd=tmp_path)
+    assert proc.returncode == rc, proc.stderr
+    if rc == 0:
+        assert (tmp_path / "o" / "trace_seed0.csv").is_file()
+    else:
+        assert proc.stderr.startswith("config error: ")
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 # -- README -------------------------------------------------------------------

@@ -197,6 +197,12 @@ def test_make_combined_rejections():
                                          "ys": [0.2, 0.2, 0, 0.6, 0.2, 0.2]})
     with pytest.raises(ValueError, match="instance 0 below b_0 on S_0"):
         make_combined([dips, m2], [(0, 32), (1, 32)], subs, [0.2, 0.2], T=64)
+    # its subsets are intervals of [0, 1]: a 2-D instance is refused by name
+    tent2 = MeanFunction("distance_to_target",
+                         {"target": [0.3, 0.6], "peak": 0.8})
+    for means, i in (([tent2, tent2], 0), ([m1, tent2], 1)):
+        with pytest.raises(ValueError, match=f"instance {i} has d=2, not 1"):
+            make_combined(means, [(0, 32), (1, 32)], subs, [0.2, 0.2], T=64)
 
 
 def test_combined_mixture_identity():
@@ -250,6 +256,30 @@ def test_round_key_window_equals_the_block_combined(noise):
                         [(0.1, 0.4), (0.6, 0.9)], [0.2, 0.2], T=1024,
                         noise=noise, noise_scale=0.2, seed=11)
     assert_reward_is_the_block_at(env, WINDOW_EDGES + [1024, 768])
+
+
+def eight_rounds():
+    """Noiseless phases [(0, 4), (1, 4)] on T = 8, and its three ways to
+    read arm 0.75: instance 0 has it at 0.2, instance 1 at its peak 0.55."""
+    m1, m2 = two_bumps()
+    env = make_combined([m1, m2], [(0, 4), (1, 4)], [(0.1, 0.4), (0.6, 0.9)],
+                        [0.2, 0.2], T=8, noise="none")
+    return env, {"reward": lambda t: env.reward(t, (0.75,)),
+                 "reward_block": lambda t: env.reward_block([t], [(0.75,)]),
+                 "mean_at": lambda t: env.mean_at(t, [0.75])}
+
+
+@pytest.mark.parametrize("read", ["reward", "reward_block", "mean_at"])
+@pytest.mark.parametrize("t, want", [(0, None), (-3, None), (9, None),
+                                     (1, 0.2), (8, 0.55)])
+def test_combined_rounds_outside_1_to_T_are_refused(read, t, want):
+    _, reads = eight_rounds()
+    if want is None:
+        with pytest.raises(ValueError, match=rf"round {t} is outside 1\.\.T, "
+                                             r"T=8$"):
+            reads[read](t)
+    else:
+        assert float(np.ravel(reads[read](t))[0]) == want
 
 
 @pytest.mark.parametrize("noise", NOISE_KINDS)

@@ -5,6 +5,7 @@ from advzoom.rng import (
     _mix,
     counter_hash,
     fnv1a64,
+    round_keys,
     splitmix64,
     stream_key,
     uniform,
@@ -114,6 +115,18 @@ def test_counter_hash_second_axis():
     same_a = counter_hash(key, 4, np.arange(8))
     assert len(set(same_a.tolist())) == 8
     assert int(counter_hash(key, 4, 2)) == int(same_a[2])
+
+
+def test_round_keys_are_the_counter_hash_first_stage():
+    keys = np.array([stream_key(s, "env.noise") for s in (0, 7, 11)])
+    ts = np.array([-3, 0, 1, 255, 256, 2**40], dtype=np.int64)
+    rows = round_keys(keys[:, None], ts)  # a key array broadcasts on ts
+    for key, row in zip(keys, rows):
+        assert row.tolist() == round_keys(key, ts).tolist()
+        want = [_mix(int(key) ^ _mix(int(t) % 2**64)) for t in ts]
+        assert row.tolist() == want
+        assert counter_hash(key, ts, 5).tolist() == \
+            [_mix(r ^ _mix(5)) for r in want]
 
 
 def test_splitmix64_leaves_its_input_unchanged():
