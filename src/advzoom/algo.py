@@ -179,6 +179,17 @@ class AlgState:
             # on nodes past the height bound
             raise ValueError(f"param_override beta must be > 0 on a {kind} "
                              f"space, which zooms; got {ov.beta!r}")
+        # gamma > 1 inverts the weights, and a field that is not finite
+        # fails rounds later, if at all
+        for name, v in ov._asdict().items() if ov is not None else ():
+            hi = 1.0 if name == "gamma" else math.inf
+            if not (math.isfinite(v) and 0.0 <= v <= hi):
+                rule = "in [0, 1]" if hi == 1.0 else ">= 0"
+                raise ValueError(f"param_override {name} must be finite and "
+                                 f"{rule}, got {v!r}")
+        c = config.coeff_scale
+        if not (math.isfinite(c) and c > 0):
+            raise ValueError(f"coeff_scale must be finite and > 0, got {c!r}")
         self.n_dbl = int(config.n_dbl if config.n_dbl is not None else n_dbl)
 
         self.schedule = ParamSchedule(

@@ -181,18 +181,20 @@ def _single_reward(env, i: int, t: int, arm) -> float:
     reward_block([t], [arm])[0, 0] bit for bit.
 
     A tuple arm's row of a one-arm RewardTable (means or Bernoulli
-    thresholds, one per instance, and the arm hash as an int) is kept in
-    env._arms; learners play one representative arm per node, so the dict
-    holds at most one entry per node.  The round keys r_t are read
-    ROUND_BLOCK rounds at a time from any t, as the block path makes them;
-    the arm's hash then runs splitmix64 once on Python ints, and Bernoulli
-    takes its integer compare.
+    thresholds, as Python ints that do not wrap, one per instance, and the
+    arm hash as an int) is kept in env._arms; learners play one
+    representative arm per node, so the dict holds at most one entry per
+    node.  The round keys r_t are read ROUND_BLOCK rounds at a time from
+    any t, as the block path makes them; the arm's hash then runs
+    splitmix64 once on Python ints, and Bernoulli takes its integer compare.
     """
     entry = env._arms.get(arm) if isinstance(arm, tuple) else None
     if entry is None:
         table = RewardTable(env, [arm])
-        entry = (table.par[0].tolist(),
-                 None if env.noise == "none" else int(table.arm_hash[0, 0]))
+        par = table.par[0].tolist()
+        if table.sure is not None:  # c 2^11 is 2^64 where mu = 1
+            par = [p | s << 64 for p, s in zip(par, table.sure[0].tolist())]
+        entry = par, None if env.noise == "none" else int(table.arm_hash[0, 0])
         if isinstance(arm, tuple):
             env._arms[arm] = entry
     par, arm_hash = entry
@@ -201,10 +203,10 @@ def _single_reward(env, i: int, t: int, arm) -> float:
     if not 0 <= t - env._lo < len(env._r):
         env._lo = t
         env._r = round_keys(env._key, np.arange(t, t + ROUND_BLOCK)).tolist()
-    k = _mix(env._r[t - env._lo] ^ arm_hash) >> 11
+    h = _mix(env._r[t - env._lo] ^ arm_hash)
     if env.noise == "bernoulli":
-        return 1.0 if k < par[i] else 0.0
-    u = np.array(k * 2.0 ** -53)
+        return 1.0 if h < par[i] else 0.0
+    u = np.array((h >> 11) * 2.0 ** -53)
     return float(_gauss(u, par[i], env.noise_scale, u))
 
 
@@ -212,24 +214,29 @@ class RewardTable:
     """An environment's rewards over fixed arms, a block of rounds at a time.
 
     Per-arm constants (means or Bernoulli thresholds, one column per
-    instance; noise-counter hashes; prices) are computed once, here, and a
-    block's per-round ones once, by rounds(ts); fill then writes every arm's
-    rewards into caller buffers.  Noise is counter_hash(key, t, q) =
-    splitmix64(r_t ^ splitmix64(q)), with r_t = round_keys(key, t).
-    Bernoulli compares the hash's top 53 bits k with ceil(mu 2^53): u =
-    k 2^-53 < mu iff k < mu 2^53 (an exact scaling) iff k < ceil(mu 2^53).
+    instance; noise-counter hashes; prices) are computed once, here, and
+    per-round ones by rounds(ts); fill then writes every arm's rewards at
+    any slice of ts into caller buffers.  Noise is counter_hash(key, t, q)
+    = splitmix64(r_t ^ splitmix64(q)), with r_t = round_keys(key, t).
+    Bernoulli hits where the hash h's top 53 bits k give u = k 2^-53 < mu,
+    iff k < mu 2^53 (an exact scaling) iff k < c = ceil(mu 2^53) iff
+    h < c 2^11, the threshold kept.  c 2^11 wraps to 0 at mu = 1, so sure
+    marks those arms and instances, which hit every round.
     """
 
     def __init__(self, env, xs):
         xs = np.asarray(xs, dtype=np.float64)
         pts = np.atleast_2d(xs) if env.d > 1 else xs.reshape(-1, 1)
-        self.env, self.n = env, len(pts)
+        self.env, self.n, self.sure = env, len(pts), None
+        self.bernoulli = env.kind != "pricing" and env.noise == "bernoulli"
         if env.kind == "pricing":
             self.par = pts[:, :1]  # prices
             return
         par = np.stack([np.atleast_1d(m(pts)) for m in env.means], axis=1)
-        if env.noise == "bernoulli":
-            par = np.ceil(par * 2.0 ** 53).astype(np.uint64)
+        if self.bernoulli:
+            c = np.ceil(par * 2.0 ** 53).astype(np.uint64)
+            par, sure = c << TOP53, c >> 53 != 0
+            self.sure = sure if sure.any() else None
         self.par = par  # (n, instances)
         if env.noise != "none":
             self.arm_hash = splitmix64(arm_counter(pts))[:, None]
@@ -249,7 +256,9 @@ class RewardTable:
     def fill(self, rounds, out, tmp):
         """Rewards of every arm into out, float64 of shape (n, rounds), with
         tmp a uint64 scratch of that shape; either may be a transposed view,
-        and the bits written are the same in any layout."""
+        and the bits written are the same in any layout.  On a Bernoulli
+        env a boolean out gets the hits instead, and tmp then stacks two
+        such scratches, shape (2, n, rounds)."""
         env, par, (r, inst) = self.env, self.par, rounds
         if env.kind == "pricing":
             np.less_equal(par, r, out=out)
@@ -260,16 +269,26 @@ class RewardTable:
                 np.copyto(out, par)
                 return out
             return _gather(par, inst, out)
-        h = out.view(np.uint64)
-        np.bitwise_xor(r, self.arm_hash, out=h)
-        np.right_shift(splitmix64(h, out=h, scratch=tmp), TOP53, out=h)
-        if env.noise == "bernoulli":
+        h, s = tmp if out.dtype == bool else (out.view(np.uint64), tmp)
+        # numpy copies the broadcast r and arm hashes through its ufunc
+        # buffers (8192 elements) when h's contiguous rows are shorter: 40
+        # us for 2^16 cells in rows of 513 or 1089, 12 us unbuffered
+        with np.errstate():  # which restores the buffer size on exit
+            np.setbufsize(16)
+            np.bitwise_xor(r, self.arm_hash, out=h)
+        splitmix64(h, out=h, scratch=s)
+        if self.bernoulli:
             if inst is not None:  # each round's instance, from contiguous rows
-                par = _gather(par, inst, tmp)
-            return np.less(h, par, out=out)
-        # Gaussian: u goes to tmp (numpy would copy a cast onto h's own
+                par = _gather(par, inst, s)
+            np.less(h, par, out=out)
+            if self.sure is not None:
+                sure = self.sure if inst is None else self.sure[:, inst]
+                np.logical_or(out, sure, out=out)
+            return out
+        # Gaussian: u goes to s (numpy would copy a cast onto h's own
         # memory), which frees out for the means
-        u = np.multiply(h, 2.0 ** -53, out=tmp.view(np.float64))
+        u = np.multiply(np.right_shift(h, TOP53, out=h), 2.0 ** -53,
+                        out=s.view(np.float64))
         if inst is not None:
             par = _gather(par, inst, out)
         return _gauss(u, par, env.noise_scale, out)

@@ -23,6 +23,10 @@ from .trace import Trace
 
 MAX_EVALS = 10**7  # guard on arm-round reward evaluations
 _CELLS = 1 << 16  # arm-rounds per replay block: 512 KiB per block buffer
+# rounds whose per-round constants replay makes at once, rounded down to
+# whole blocks: 32 KiB per array, under glibc's 128 KiB mmap threshold,
+# unless one block (of a grid under 16 arms) holds more rounds
+_CHUNK = 4096
 # arms from which replay sums a round at a time: on 2 vCPUs, 128 arms replay
 # as fast either way and 160 arms about 10% faster a round at a time
 _WIDE = 144
@@ -71,6 +75,19 @@ def grid_eps_for(d: int, T: int, eps: Optional[float] = None) -> float:
     return float(e)
 
 
+def _blocks(table, T: int, B: int):
+    """(lo, k, rounds) of the blocks of rounds lo + 1..lo + k, k <= B, over
+    1..T: rounds, their constants for table.fill, are sliced from a chunk
+    of _CHUNK // B blocks (at least one) that one table.rounds call makes."""
+    C = B * max(1, _CHUNK // B)
+    for c0 in range(0, T, C):
+        chunk = table.rounds(np.arange(c0 + 1, min(T, c0 + C) + 1))
+        for lo in range(c0, min(T, c0 + C), B):
+            cut = slice(lo - c0, lo - c0 + B)
+            yield lo, min(B, T - lo), tuple(a if a is None else a[cut]
+                                            for a in chunk)
+
+
 def _replay(env, grid: np.ndarray, T: int):
     """Regret's pass over the reward table: (cum_best, totals), with
     cum_best[t-1] the max over grid arms of their cumulative reward through
@@ -91,12 +108,11 @@ def _replay(env, grid: np.ndarray, T: int):
     B = min(T, max(1, _CELLS // n))
     buf, tmp = np.empty(n * B), np.empty(n * B, dtype=np.uint64)
     rows = list(buf.reshape(B, n)) if wide else None  # views made once
-    for t0 in range(0, T, B):
-        k = min(B, T - t0)
+    for t0, k, rounds in _blocks(table, T, B):
         rb = buf[:n * k].reshape((k, n) if wide else (n, k))
         rt = tmp[:n * k].reshape(rb.shape)
         arms, scratch = (rb.T, rt.T) if wide else (rb, rt)  # arms x rounds
-        table.fill(table.rounds(np.arange(t0 + 1, t0 + k + 1)), arms, scratch)
+        table.fill(rounds, arms, scratch)
         if t0:
             arms[:, 0] += carry
         if wide:
@@ -113,30 +129,40 @@ def _replay(env, grid: np.ndarray, T: int):
 def _totals(env, grid: np.ndarray, ts) -> np.ndarray:
     """(n_grid, len(ts)) totals of every grid arm through each of the
     ascending end-times ts, with no per-round curve.  Blocks of _CELLS // n
-    rounds are laid out rounds x arms, and their rows are summed in runs
-    cut at every end-time: the carry goes into a run's first row, and one
-    np.add.reduce down the rounds sums the run into it.  numpy sums
-    pairwise only along the contiguous axis, so the rows add in order, as
-    in _replay (a one-arm block is summed pairwise, but its only gap is 0
-    either way).  gaps_at on the analysis benchmark: 36.8 -> 30.6 ms at
-    d = 1 and 17.3 -> 15.1 ms at d = 2, against a running sum that also
-    kept a per-round best."""
+    rounds (see _blocks) are laid out rounds x arms, and their rows are
+    summed in runs cut at every end-time: the carry goes into a run's first
+    row, and one np.add.reduce down the rounds sums the run into it.  numpy
+    sums pairwise only along the contiguous axis, so the rows add in order,
+    as in _replay (a one-arm block is summed pairwise, but its only gap is
+    0 either way).  Bernoulli hits are counted instead, as booleans summed
+    255 rows at most as uint8 into an int64 carry: every partial sum of
+    0.0s and 1.0s is an integer below 2^53, exact in any order, so the
+    counts as floats are the float sums bit for bit."""
     n = len(grid)
     if n == 0:
         raise ValueError("empty evaluation grid: no arm to replay")
     table, B = RewardTable(env, grid), min(ts[-1], max(1, _CELLS // n))
-    buf, tmp = np.empty(n * B), np.empty(n * B, dtype=np.uint64)
-    totals, carry, j = np.empty((n, len(ts))), np.empty(n), 0
-    for lo in range(0, ts[-1], B):
-        k = min(B, ts[-1] - lo)
-        rb, rt = buf[:n * k].reshape(k, n), tmp[:n * k].reshape(k, n)
-        table.fill(table.rounds(np.arange(lo + 1, lo + k + 1)), rb.T, rt.T)
+    hits = table.bernoulli
+    buf = np.empty(n * B, dtype=bool if hits else np.float64)
+    tmp = np.empty((1 + hits, n * B), dtype=np.uint64)
+    totals, j, count = np.empty((n, len(ts))), 0, np.empty(n, dtype=np.uint8)
+    carry = np.zeros(n, dtype=np.int64 if hits else np.float64)
+    for lo, k, rounds in _blocks(table, ts[-1], B):
+        rb = buf[:n * k].reshape(k, n)
+        rt = tmp[:, :n * k].reshape(-1, k, n).transpose(0, 2, 1)
+        table.fill(rounds, rb.T, rt if hits else rt[0])
         a = 0
         while a < k:  # the rows up to the next end-time, or the block's end
             c = min(k, ts[j] - lo)
-            if lo + a:
-                rb[a] += carry
-            np.add.reduce(rb[a:c], axis=0, out=carry)
+            if hits:
+                for b in range(a, c, 255):
+                    np.add.reduce(rb[b:min(c, b + 255)].view(np.uint8),
+                                  axis=0, dtype=np.uint8, out=count)
+                    carry += count
+            else:
+                if lo + a:
+                    rb[a] += carry
+                np.add.reduce(rb[a:c], axis=0, out=carry)
             if lo + c == ts[j]:
                 totals[:, j], j = carry, j + 1
             a = c

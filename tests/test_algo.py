@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracle
 from advzoom import algo, evaluate
@@ -11,7 +13,7 @@ from advzoom.env import MeanFunction, StochasticEnv, env_from_spec
 from advzoom.metric import FiniteMetricSpace
 from advzoom.rng import ROUND_BLOCK, uniform
 from advzoom.trace import RoundRecord, Trace
-from conftest import tent_mean
+from conftest import GOLD, tent_mean
 
 
 class ConstEnv:
@@ -104,6 +106,91 @@ def test_a_space_that_zooms_refuses_a_beta_not_above_zero(beta):
         st = algo.init(np.array([[0.2], [0.8]]), 16,
                        AlgoConfig(param_override=ov))
         assert algo.run(st, ConstEnv(0.5)).n_rounds == 16
+
+
+def _every_space_kind():
+    return {"cube": 1, "cube_d2": 2,
+            "dag": FiniteMetricSpace([0.0, 1.0], [[0, 1], [1, 0]]),
+            "arms": np.array([[0.2], [0.8]])}
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("beta_tilde", NAN), ("beta_tilde", -0.1), ("beta", INF),
+    ("gamma", 1.5), ("gamma", -0.1), ("gamma", NAN), ("gamma", INF),
+    ("eta", -0.1), ("eta", NAN), ("eta", -INF)])
+@pytest.mark.parametrize("kind", sorted(_every_space_kind()))
+def test_init_refuses_an_override_out_of_range(kind, field, value):
+    # gamma = 1.5 ran with 1 - gamma < 0, which inverts the weights, and a
+    # NaN field failed only at round 2, if at all
+    ov = ParamValues(0.2, 0.2, 0.5, 0.1)._replace(**{field: value})
+    rule = "in [0, 1]" if field == "gamma" else ">= 0"
+    with pytest.raises(ValueError) as err:
+        algo.init(_every_space_kind()[kind], 16, AlgoConfig(param_override=ov))
+    assert str(err.value) == (f"param_override {field} must be finite and "
+                              f"{rule}, got {value!r}")
+
+
+@pytest.mark.parametrize("beta", [-0.1, NAN])
+def test_a_fixed_arm_set_refuses_a_beta_below_zero_or_not_finite(beta):
+    ov = ParamValues(beta, 0.1, 0.5, 0.1)
+    with pytest.raises(ValueError) as err:
+        algo.init(np.array([[0.2], [0.8]]), 16, AlgoConfig(param_override=ov))
+    assert str(err.value) == (f"param_override beta must be finite and >= 0, "
+                              f"got {beta!r}")
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, NAN, INF, -INF])
+@pytest.mark.parametrize("kind", sorted(_every_space_kind()))
+def test_init_refuses_a_coeff_scale_not_finite_and_above_zero(kind, c):
+    with pytest.raises(ValueError) as err:
+        algo.init(_every_space_kind()[kind], 16, AlgoConfig(coeff_scale=c))
+    assert str(err.value) == f"coeff_scale must be finite and > 0, got {c!r}"
+
+
+@pytest.mark.parametrize("kind", sorted(_every_space_kind()))
+def test_init_takes_the_edges_of_the_override_ranges(kind):
+    space = _every_space_kind()[kind]
+    zooms = kind != "arms"
+    for ov in (ParamValues(0.5, 0.0, 0.0, 0.0), ParamValues(0.1, 0.1, 1.0, 0.1),
+               ParamValues(0.0 if not zooms else 1e-300, 2.0, 1.0, 3.0)):
+        assert algo.init(space, 16, AlgoConfig(param_override=ov,
+                                               coeff_scale=1e-9)).t == 1
+
+
+_FIELD = hst.one_of(hst.floats(0.0, 1.0), hst.floats(-0.5, 2.0),
+                    hst.sampled_from([0.0, 1.0, NAN, INF, -INF]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(kind=hst.sampled_from(sorted(_every_space_kind())),
+       ov=hst.one_of(hst.none(), hst.tuples(*[_FIELD] * 4)),
+       c=hst.one_of(hst.just(1.0), hst.floats(-1.0, 4.0), _FIELD),
+       T=hst.integers(1, 256))
+def test_init_refuses_or_every_pi_is_a_distribution(kind, ov, c, T):
+    space = _every_space_kind()[kind]
+    cfg = AlgoConfig(param_override=ov and ParamValues(*ov), coeff_scale=c)
+    try:
+        st = algo.init(space, T, cfg)
+    except ValueError:
+        return
+    env = StochasticEnv(tent_mean(target=[GOLD, 0.382] if kind == "cube_d2"
+                                  else GOLD), seed=1)
+    for rec in algo.run(st, env).rounds:
+        assert rec.pi.min() >= 0.0 and abs(rec.pi.sum() - 1.0) <= 1e-12
+        assert 0.0 <= rec.reward <= 1.0
+
+
+@pytest.mark.parametrize("K,T", [(1, 1), (2, 2), (2, 16384), (1025, 2048)])
+def test_default_params_pass_init(K, T):
+    from advzoom.baselines import default_params
+
+    arms = (np.arange(K) / K).reshape(-1, 1)
+    ov = default_params(K, T)
+    assert algo.init(arms, T, AlgoConfig(param_override=ov)).schedule \
+        .override == ov
 
 
 # -- parameter schedule --------------------------------------------------

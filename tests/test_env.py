@@ -120,16 +120,18 @@ def test_noise_models(tent_env):
         StochasticEnv(tent_mean(), noise="cauchy")
 
 
-def assert_single_arm_rewards_equal_block(env, T, d, ts=(), seed=0):
+def assert_single_arm_rewards_equal_block(env, T, d, ts=(), seed=0,
+                                          arms=()):
     """reward(t, arm) equals reward_block([t], [arm])[0, 0] bit for bit on
-    300 (t, arm) pairs over 20 arms, each arm played as a tuple of float and
-    of np.float64 (what fixed-arm spaces pass) and repeated, so the
-    per-arm cache is both missed and hit; `ts` adds rounds to every arm."""
+    300 (t, arm) pairs over 20 arms and `arms`, each arm played as a tuple
+    of float and of np.float64 (what fixed-arm spaces pass) and repeated,
+    so the per-arm cache is both missed and hit; `ts` adds rounds to every
+    arm."""
     gen = np.random.default_rng(seed)
     pool = [tuple(float(v) for v in gen.random(d)) for _ in range(18)]
-    pool += [(0.0,) * d, (1.0,) * d]
-    plays = [(int(t), pool[k]) for t, k in zip(gen.integers(1, T + 1, 300),
-                                              gen.integers(0, 20, 300))]
+    pool += [(0.0,) * d, (1.0,) * d, *arms]
+    plays = [(int(t), pool[k]) for t, k in zip(
+        gen.integers(1, T + 1, 300), gen.integers(0, len(pool), 300))]
     plays += [(int(t), arm) for t in ts for arm in pool]
     for n, (t, arm) in enumerate(plays):
         if n % 2:
@@ -423,11 +425,27 @@ def test_reward_block_on_unsorted_repeated_rounds_equals_reward(env):
                 env.reward(int(t), tuple(arm.tolist())).hex(), (t, arm)
 
 
+def unit_bumps(noise, kind):
+    """A stochastic or combined env whose means on the 1/12 grid are
+    exactly 1.0 at 1/4 (and at 3/4 on instance 1) and exactly 0.0 at and
+    beyond the edges of each bump."""
+    lo, hi = (MeanFunction("baseline_bump", {"peak": 1.0, "baseline": 0.0,
+                                             "support": s})
+              for s in ((0.0, 0.5), (0.5, 1.0)))
+    if kind == "stochastic":
+        return StochasticEnv(lo, noise=noise, noise_scale=0.2, seed=7)
+    return make_combined([lo, hi], np.tile([0, 1, 1], 30)[:80],
+                         [(0.0, 0.5), (0.5, 1.0)], [0.0, 0.0], T=80,
+                         noise=noise, noise_scale=0.2, seed=7)
+
+
 @pytest.mark.parametrize("noise", NOISE_KINDS)
 @pytest.mark.parametrize("kind", ["stochastic", "combined"])
 def test_reward_block_equals_the_float_uniform_reference(kind, noise):
     """Rewards realized from rng.uniform's float draws, as before the block
-    kernel: u < mu, mu itself, and the clipped inverse-normal."""
+    kernel: u < mu, mu itself, and the clipped inverse-normal; on shaped
+    means and on means of exactly 0.0 and 1.0, the edges of the Bernoulli
+    thresholds."""
     from scipy.special import ndtri
 
     from advzoom.env import arm_counter
@@ -440,14 +458,31 @@ def test_reward_block_equals_the_float_uniform_reference(kind, noise):
            make_combined([m1, m2], np.tile([0, 1, 1], 30)[:80],
                          [(0.1, 0.4), (0.6, 0.9)], [0.2, 0.2], T=80,
                          noise=noise, noise_scale=0.2, seed=7))
-    xs = evaluate.grid_points(env.d, 1 / 12)
-    ts = np.arange(1, 81)
-    mu = np.stack([env.mean_at(t, xs) for t in ts], axis=1)
-    u = uniform(env._key, ts[None, :], arm_counter(xs)[:, None])
-    want = {"bernoulli": (u < mu).astype(np.float64), "none": mu,
-            "gauss": np.clip(mu + 0.2 * ndtri(np.clip(u, 1e-12, 1 - 1e-12)),
-                             0.0, 1.0)}[noise]
-    assert env.reward_block(ts, xs).tobytes() == want.tobytes()
+    for env in env, unit_bumps(noise, kind):
+        xs = evaluate.grid_points(env.d, 1 / 12)
+        ts = np.arange(1, 81)
+        mu = np.stack([env.mean_at(t, xs) for t in ts], axis=1)
+        u = uniform(env._key, ts[None, :], arm_counter(xs)[:, None])
+        want = {"bernoulli": (u < mu).astype(np.float64), "none": mu,
+                "gauss": np.clip(mu + 0.2 * ndtri(np.clip(u, 1e-12,
+                                                          1 - 1e-12)),
+                                 0.0, 1.0)}[noise]
+        assert env.reward_block(ts, xs).tobytes() == want.tobytes()
+    assert {0.0, 1.0} <= set(mu.ravel().tolist())
+
+
+@pytest.mark.parametrize("kind", ["stochastic", "combined"])
+def test_single_arm_reward_equals_block_at_means_0_and_1(kind):
+    # mu = 1 is c = 2^53, whose threshold c 2^11 wraps to 0 in the block
+    # kernel's uint64 and is 2^64 as the single-arm path's Python int
+    env = unit_bumps("bernoulli", kind)
+    edges = [(0.25,), (0.75,), (0.5,)]
+    assert_single_arm_rewards_equal_block(env, 80, 1, ts=range(1, 81),
+                                          arms=edges)
+    mu = np.stack([env.mean_at(t, edges) for t in range(1, 81)], axis=1)
+    got = env.reward_block(np.arange(1, 81), edges)
+    assert {0.0, 1.0} <= set(mu.ravel().tolist())
+    assert (got[mu == 1.0] == 1.0).all() and not got[mu == 0.0].any()
 
 
 @pytest.mark.parametrize("kind", ["stochastic", "combined"])
@@ -746,3 +781,13 @@ def test_zero_noise_scale_gives_the_mean():
                             seed=0)
         rewards = [env.reward(t, (0.3,)) for t in range(1, 9)]
         assert rewards == [float(env.mean_at(t, 0.3)) for t in range(1, 9)]
+
+
+def test_reward_block_keeps_the_callers_ufunc_buffer_size():
+    # the kernel shrinks numpy's ufunc buffer around one call, and must
+    # hand the caller's size back
+    with np.errstate():
+        np.setbufsize(4096)
+        StochasticEnv(tent_mean(), seed=0).reward_block(
+            np.arange(1, 9), np.linspace(0.0, 1.0, 5))
+        assert np.getbufsize() == 4096
