@@ -258,7 +258,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> dict:
         trace, environment, monitor_traces = run_one_seed(cfg, seed)
         trace_path = os.path.join(out_dir, f"trace_seed{seed}.csv")
         trace.write_csv(trace_path)
-        rep = evaluate.regret(trace, environment, grid_eps=grid_eps)
+        rep = evaluate.regret(trace, environment, grid_eps=grid_eps,
+                              curves=cfg.emit_curves)
         reg_path = os.path.join(out_dir, f"regret_seed{seed}.json")
         _write_json(reg_path, rep.to_dict())
         inv = _monitor_report(cfg, monitor_traces)

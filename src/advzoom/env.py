@@ -241,6 +241,24 @@ class RewardTable:
         if env.noise != "none":
             self.arm_hash = splitmix64(arm_counter(pts))[:, None]
 
+    def hit_values(self, T: int):
+        """Each arm's reward on a hit if every in-order float sum of its
+        rewards over at most T rounds is its hit count times it, else None:
+        1.0 for Bernoulli noise; a pricing arm's price p if every price is
+        a multiple of 2^-s with T max|p| 2^s < 2^53, so that every partial
+        sum is a multiple of 2^-s below 2^53 of them, so exact."""
+        if self.bernoulli:
+            return np.ones(self.n)
+        if self.env.kind != "pricing":
+            return None
+        p = self.par[:, 0]
+        q = np.abs(p)  # |p| 2^s, for s = 0, 1, ...
+        while T * q.max() < 2.0 ** 53:
+            if (q == np.floor(q)).all():
+                return p
+            q = q * 2.0
+        return None
+
     def rounds(self, ts):
         """Per-round constants of rounds ts for fill."""
         env, ts = self.env, np.asarray(ts, dtype=np.int64)
@@ -257,12 +275,13 @@ class RewardTable:
         """Rewards of every arm into out, float64 of shape (n, rounds), with
         tmp a uint64 scratch of that shape; either may be a transposed view,
         and the bits written are the same in any layout.  On a Bernoulli
-        env a boolean out gets the hits instead, and tmp then stacks two
-        such scratches, shape (2, n, rounds)."""
+        or pricing env a boolean out gets the hits instead, and tmp then
+        stacks two such scratches, shape (2, n, rounds)."""
         env, par, (r, inst) = self.env, self.par, rounds
         if env.kind == "pricing":
             np.less_equal(par, r, out=out)
-            out *= par
+            if out.dtype != bool:
+                out *= par
             return out
         if env.noise == "none":
             if inst is None:

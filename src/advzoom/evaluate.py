@@ -27,9 +27,6 @@ _CELLS = 1 << 16  # arm-rounds per replay block: 512 KiB per block buffer
 # whole blocks: 32 KiB per array, under glibc's 128 KiB mmap threshold,
 # unless one block (of a grid under 16 arms) holds more rounds
 _CHUNK = 4096
-# arms from which replay sums a round at a time: on 2 vCPUs, 128 arms replay
-# as fast either way and 160 arms about 10% faster a round at a time
-_WIDE = 144
 # node-rounds per monitor block: 128 KiB per float64 array, three alive at
 # once.  The monitor runs after a recorded run, when the process is at its
 # largest, so its blocks add to the peak: a d=2, T = 8192 run with monitor
@@ -89,60 +86,57 @@ def _blocks(table, T: int, B: int):
 
 
 def _replay(env, grid: np.ndarray, T: int):
-    """Regret's pass over the reward table: (cum_best, totals), with
-    cum_best[t-1] the max over grid arms of their cumulative reward through
-    round t and totals theirs at T.  Blocks of every grid arm x _CELLS // n
-    rounds fill two buffers allocated once, so memory does not grow with T.
-    A grid of at least _WIDE arms lays a block out rounds x arms and adds
-    each round's row to the one before it; a narrower one lays it out arms
-    x rounds and runs a cumsum per arm, as a call per round costs more.
-    Each block starts from the previous one's last totals, so every partial
-    sum is the same IEEE addition, in order, as one cumsum over T rounds.
+    """The per-round curve pass, run for regret's curves only: (cum_best,
+    totals), with cum_best[t-1] the max over grid arms of their cumulative
+    reward through round t and totals theirs at T.  Blocks of every grid
+    arm x _CELLS // n rounds fill two buffers allocated once, so memory
+    does not grow with T.  A block is laid out rounds x arms, and each
+    round's row is added to the one before it, starting from the previous
+    block's last row, so every partial sum is the same IEEE addition, in
+    order, as one cumsum over T rounds.  On narrow grids the call per
+    round dominates: about 70 ns per arm-round on 9 arms, against 5 on
+    1089 (Bernoulli noise, 2 vCPUs).
     """
     n = len(grid)
     if n == 0:
         raise ValueError("empty evaluation grid: no arm to replay")
     cum_best = np.full(T, -np.inf)
     table = RewardTable(env, grid)
-    wide = n >= _WIDE
     B = min(T, max(1, _CELLS // n))
     buf, tmp = np.empty(n * B), np.empty(n * B, dtype=np.uint64)
-    rows = list(buf.reshape(B, n)) if wide else None  # views made once
+    rows = list(buf.reshape(B, n))  # views made once
     for t0, k, rounds in _blocks(table, T, B):
-        rb = buf[:n * k].reshape((k, n) if wide else (n, k))
-        rt = tmp[:n * k].reshape(rb.shape)
-        arms, scratch = (rb.T, rt.T) if wide else (rb, rt)  # arms x rounds
-        table.fill(rounds, arms, scratch)
+        rb = buf[:n * k].reshape(k, n)
+        table.fill(rounds, rb.T, tmp[:n * k].reshape(k, n).T)
         if t0:
-            arms[:, 0] += carry
-        if wide:
-            for prev, row in zip(rows, rows[1:k]):
-                np.add(prev, row, row)
-        else:
-            np.cumsum(rb, axis=1, out=rb)
+            rb[0] += carry
+        for prev, row in zip(rows, rows[1:k]):
+            np.add(prev, row, row)
         best = cum_best[t0:t0 + k]
-        np.maximum(best, arms.max(axis=0), out=best)
-        carry = arms[:, -1].copy()
+        np.maximum(best, rb.max(axis=1), out=best)
+        carry = rb[-1].copy()
     return cum_best, carry
 
 
 def _totals(env, grid: np.ndarray, ts) -> np.ndarray:
     """(n_grid, len(ts)) totals of every grid arm through each of the
-    ascending end-times ts, with no per-round curve.  Blocks of _CELLS // n
-    rounds (see _blocks) are laid out rounds x arms, and their rows are
-    summed in runs cut at every end-time: the carry goes into a run's first
-    row, and one np.add.reduce down the rounds sums the run into it.  numpy
-    sums pairwise only along the contiguous axis, so the rows add in order,
-    as in _replay (a one-arm block is summed pairwise, but its only gap is
-    0 either way).  Bernoulli hits are counted instead, as booleans summed
-    255 rows at most as uint8 into an int64 carry: every partial sum of
-    0.0s and 1.0s is an integer below 2^53, exact in any order, so the
-    counts as floats are the float sums bit for bit."""
+    ascending end-times ts, with no per-round curve: the pass behind
+    regret's scalars and gaps_at.  Blocks of _CELLS // n rounds (see
+    _blocks) are laid out rounds x arms, and their rows are summed in runs
+    cut at every end-time: the carry goes into a run's first row, and one
+    np.add.reduce down the rounds sums the run into it.  numpy sums
+    pairwise along a contiguous axis, so a one-arm run takes a cumsum
+    instead, and the rows add in order, as in _replay.  When the table has
+    hit values (Bernoulli noise, or prices on a fine enough lattice: see
+    RewardTable.hit_values), hits are counted instead, as booleans summed
+    255 rows at most as uint8 into an int64 carry, and each total is its
+    count times the arm's hit value, the in-order float sum bit for bit."""
     n = len(grid)
     if n == 0:
         raise ValueError("empty evaluation grid: no arm to replay")
     table, B = RewardTable(env, grid), min(ts[-1], max(1, _CELLS // n))
-    hits = table.bernoulli
+    value = table.hit_values(ts[-1])
+    hits = value is not None
     buf = np.empty(n * B, dtype=bool if hits else np.float64)
     tmp = np.empty((1 + hits, n * B), dtype=np.uint64)
     totals, j, count = np.empty((n, len(ts))), 0, np.empty(n, dtype=np.uint8)
@@ -162,10 +156,15 @@ def _totals(env, grid: np.ndarray, ts) -> np.ndarray:
             else:
                 if lo + a:
                     rb[a] += carry
-                np.add.reduce(rb[a:c], axis=0, out=carry)
+                if n > 1:
+                    np.add.reduce(rb[a:c], axis=0, out=carry)
+                else:
+                    carry[:] = np.cumsum(rb[a:c, 0])[-1]
             if lo + c == ts[j]:
                 totals[:, j], j = carry, j + 1
             a = c
+    if hits:
+        totals *= value[:, None]
     return totals
 
 
@@ -194,12 +193,17 @@ class RegretReport:
 
 
 def regret(trace: Trace, env, grid_eps: Optional[float] = None,
-           grid: Optional[np.ndarray] = None) -> RegretReport:
+           grid: Optional[np.ndarray] = None,
+           curves: bool = False) -> RegretReport:
     """Best-fixed-grid-arm cumulative reward minus the realized one.
 
     The environment is replayed exactly (oblivious rewards), so the only
     approximation is the grid itself; the T * grid_eps Lipschitz slack is
     attached to the report; grid_eps_for spaces the grid unless one is given.
+    The scalars come from the grid arms' totals at T (_totals).  The
+    per-round curves cum_alg, cum_best and regret_curve are None unless
+    curves is set; then the curve pass (_replay) gives the totals too, the
+    same bits.
     """
     T = trace.n_rounds
     if grid is None:
@@ -211,22 +215,22 @@ def regret(trace: Trace, env, grid_eps: Optional[float] = None,
         if len(grid) * T > MAX_EVALS:
             raise ValueError(f"grid too large: {len(grid)} arms x {T} "
                              f"rounds > {MAX_EVALS} evaluations")
-    cum_best, totals = _replay(env, grid, T)
+    cum_best, totals = (_replay(env, grid, T) if curves
+                        else (None, _totals(env, grid, [T])[:, 0]))
     cum_alg = np.cumsum(trace.rewards())
-    curve = cum_best - cum_alg
     best_idx = int(np.argmax(totals))
     return RegretReport(
         T=T,
         grid_eps=float(grid_eps),
         n_grid=len(grid),
-        regret=float(curve[-1]),
+        regret=float(totals.max() - cum_alg[-1]),
         best_arm=tuple(grid[best_idx]),
         best_total=float(totals[best_idx]),
         alg_total=float(cum_alg[-1]),
         lipschitz_slack=float(T * grid_eps),
-        cum_alg=cum_alg,
+        cum_alg=cum_alg if curves else None,
         cum_best=cum_best,
-        regret_curve=curve,
+        regret_curve=cum_best - cum_alg if curves else None,
     )
 
 

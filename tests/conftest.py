@@ -7,7 +7,7 @@ import pytest
 # make the oracle helper importable from any test module
 sys.path.insert(0, str(Path(__file__).parent))
 
-from advzoom.env import MeanFunction, StochasticEnv
+from advzoom.env import MeanFunction, StochasticEnv, make_combined
 
 GOLD = 0.6180339887498949
 
@@ -73,3 +73,17 @@ def cover_eps_ladder(dist):
     pos = np.unique(dist[dist > 0])
     return [0.5 * pos.min(initial=1.0), *(2.0 * pos),
             3.0 * pos.max(initial=1.0)]
+
+
+def unit_bumps(noise, kind):
+    """A stochastic or combined env whose means on the 1/12 grid are
+    exactly 1.0 at 1/4 (and at 3/4 on instance 1) and exactly 0.0 at and
+    beyond the edges of each bump."""
+    lo, hi = (MeanFunction("baseline_bump", {"peak": 1.0, "baseline": 0.0,
+                                             "support": s})
+              for s in ((0.0, 0.5), (0.5, 1.0)))
+    if kind == "stochastic":
+        return StochasticEnv(lo, noise=noise, noise_scale=0.2, seed=7)
+    return make_combined([lo, hi], np.tile([0, 1, 1], 30)[:80],
+                         [(0.0, 0.5), (0.5, 1.0)], [0.0, 0.0], T=80,
+                         noise=noise, noise_scale=0.2, seed=7)

@@ -228,7 +228,7 @@ def test_csv_writers_equal_csv_writer_bytes(tmp_path, name, over):
     assert (tmp_path / "trace.csv").read_bytes() == csv_writer_bytes(
         tmp_path, TRACE_COLUMNS, trace_rows(trace))
 
-    rep = evaluate.regret(trace, environment, grid_eps=0.125)
+    rep = evaluate.regret(trace, environment, grid_eps=0.125, curves=True)
     n_active = trace.n_active_curve()
     cli.write_curves_csv(tmp_path / "curves.csv", rep.cum_alg, rep.cum_best,
                          rep.regret_curve, n_active)

@@ -16,7 +16,7 @@ from advzoom.env import (
     make_combined,
     phase_schedule,
 )
-from conftest import GOLD, tent_mean
+from conftest import GOLD, tent_mean, unit_bumps
 
 
 def eval_reward(env, t, x):
@@ -423,20 +423,6 @@ def test_reward_block_on_unsorted_repeated_rounds_equals_reward(env):
         for j, t in enumerate(ts):
             assert block[i, j].hex() == \
                 env.reward(int(t), tuple(arm.tolist())).hex(), (t, arm)
-
-
-def unit_bumps(noise, kind):
-    """A stochastic or combined env whose means on the 1/12 grid are
-    exactly 1.0 at 1/4 (and at 3/4 on instance 1) and exactly 0.0 at and
-    beyond the edges of each bump."""
-    lo, hi = (MeanFunction("baseline_bump", {"peak": 1.0, "baseline": 0.0,
-                                             "support": s})
-              for s in ((0.0, 0.5), (0.5, 1.0)))
-    if kind == "stochastic":
-        return StochasticEnv(lo, noise=noise, noise_scale=0.2, seed=7)
-    return make_combined([lo, hi], np.tile([0, 1, 1], 30)[:80],
-                         [(0.0, 0.5), (0.5, 1.0)], [0.0, 0.0], T=80,
-                         noise=noise, noise_scale=0.2, seed=7)
 
 
 @pytest.mark.parametrize("noise", NOISE_KINDS)

@@ -29,7 +29,8 @@ from advzoom.evaluate import (
 from advzoom.metric import FiniteMetricSpace
 from advzoom.trace import NodeMeta, RoundRecord, Trace
 from conftest import (GOLD, NET_EDGE_SIZES, cover_eps_ladder, net_edge_eps,
-                      net_edge_points, sup_dist, tent_mean, tied_points)
+                      net_edge_points, sup_dist, tent_mean, tied_points,
+                      unit_bumps)
 
 
 def adversarial_gap(env, grid, t, x):
@@ -81,7 +82,7 @@ def test_regret_zero_when_playing_grid_best():
 def test_regret_T_when_playing_worst_arm():
     env = det_env(([0, 0.49, 0.51, 1], [1.0, 1.0, 0.0, 0.0]))
     tr = synthetic_trace([0.0] * 40)
-    rep = regret(tr, env, grid=np.array([[0.25], [0.75]]))
+    rep = regret(tr, env, grid=np.array([[0.25], [0.75]]), curves=True)
     assert rep.regret == pytest.approx(40.0)
     assert rep.regret_curve.tolist() == pytest.approx(
         np.arange(1, 41, dtype=float).tolist()
@@ -168,7 +169,8 @@ def test_regret_default_grid_is_coarsened_to_fit(tent_env):
     env = tent_env(seed=5)
     T = 16384
     tr = synthetic_trace([env.reward(t, (0.5,)) for t in range(1, T + 1)])
-    got, want = regret(tr, env), regret(tr, env, grid_eps=1 / 512)
+    got = regret(tr, env, curves=True)
+    want = regret(tr, env, grid_eps=1 / 512, curves=True)
     assert got.to_dict() == want.to_dict()
     assert got.grid_eps == 1 / 512 and got.n_grid == 513
     assert np.array_equal(got.regret_curve, want.regret_curve)
@@ -267,11 +269,10 @@ BUMPS = [MeanFunction("baseline_bump",
                       {"peak": 1.0, "baseline": 0.0, "support": (0.55, 0.95)})]
 TENT_D2 = MeanFunction("distance_to_target",
                        {"peak": 0.8, "target": [GOLD, 1.0 - GOLD]})
-# 101 arms at d = 1 and 100 at d = 2: narrow grids, summed one arm at a time
+# 101 arms at d = 1 and 100 at d = 2: blocks of 648 and 655 rounds
 GRID_D1, GRID_D2 = grid_points(1, 1 / 100), grid_points(2, 1 / 9)
-# at least _WIDE arms: wide grids, summed a round at a time across every arm
-WIDE_D1 = grid_points(1, 1 / evaluate._WIDE)
-WIDE_D2 = grid_points(2, 1 / math.isqrt(evaluate._WIDE))
+# 145 and 169 arms: wider grids, blocks of 451 and 387 rounds
+WIDE_D1, WIDE_D2 = grid_points(1, 1 / 144), grid_points(2, 1 / 12)
 
 
 def stochastic(mean, noise):
@@ -313,6 +314,23 @@ REPLAY_CASES["one_arm_bernoulli"] = (stochastic(BUMPS[0], "bernoulli"),
                                      GRID_D1[20:21])
 
 
+def pricing(a):
+    return lambda T: PricingEnv("uniform", {"a": a, "b": 1.0}, seed=2)
+
+
+# pricing on the lattice of k/2^s, where totals are hit counts times the
+# price: the default 1025-point grid (blocks of 63 rounds), and the 2^-6
+# grid (blocks of 1008) with values from 1/2 up, so its prices up to 1/2,
+# the best of them included, hit every round and a run of 255 rows is all
+# hits; and off the lattice, at spacing 0.1 and on stratified points as in
+# perfbench's finite_dag
+REPLAY_CASES["pricing_default_grid"] = (pricing(0.0), grid_points(1, 1 / 1024))
+REPLAY_CASES["pricing_lattice_2^-6"] = (pricing(0.5), grid_points(1, 1 / 64))
+REPLAY_CASES["pricing_eps_0.1"] = (pricing(0.0), grid_points(1, 0.1))
+REPLAY_CASES["pricing_stratified"] = (pricing(0.0), (
+    (np.arange(56) + np.random.default_rng(3).random(56)) / 56)[:, None])
+
+
 @pytest.mark.parametrize("T", [1, BLOCK - 3, BLOCK, 2 * BLOCK + 1])
 @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
 def test_blocked_replay_is_bit_identical_to_one_pass(case, T):
@@ -326,14 +344,7 @@ def test_blocked_replay_is_bit_identical_to_one_pass(case, T):
     assert np.array_equal(got[1], want[1])
     want = single_pass_replay(env, grid, T, cps)[1]
     got = evaluate._totals(env, grid, cps)
-    if len(grid) > 1 or getattr(env, "noise", None) == "bernoulli":
-        # Bernoulli totals are hit counts, exact in any order
-        assert np.array_equal(got, want)
-    else:
-        # numpy sums a one-column block pairwise, not row by row, so one
-        # arm's totals may differ from a cumsum in the last bits; gaps_at
-        # makes its only gap 0 either way
-        assert np.array_equal(gaps_at(env, grid, cps), np.zeros_like(got))
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("T", [1, BLOCK - 3, BLOCK, 2 * BLOCK + 1])
@@ -341,23 +352,19 @@ def test_blocked_replay_is_bit_identical_to_one_pass(case, T):
 def test_blocked_replay_is_bit_identical_under_a_second_block_shape(
         case, T, monkeypatch):
     # an odd cell count: no block fills its buffer, and block edges fall
-    # off the phases; each grid is summed in both layouts.  Chunks of round
-    # constants hold 1000 // B blocks of B rounds, so their edges fall
-    # inside phases too, and a grid of one or two arms, whose block holds
-    # more than 1000 rounds, takes one block a chunk
+    # off the phases.  Chunks of round constants hold 1000 // B blocks of B
+    # rounds, so their edges fall inside phases too, and a grid of one or
+    # two arms, whose block holds more than 1000 rounds, takes one block a
+    # chunk
     monkeypatch.setattr(evaluate, "_CELLS", 9701)
     monkeypatch.setattr(evaluate, "_CHUNK", 1000)
-    for wide in (1, len(REPLAY_CASES[case][1]) + 1):  # wide, then narrow
-        monkeypatch.setattr(evaluate, "_WIDE", wide)
-        test_blocked_replay_is_bit_identical_to_one_pass(case, T)
+    test_blocked_replay_is_bit_identical_to_one_pass(case, T)
 
 
-@pytest.mark.parametrize("wide", [False, True])
-def test_replay_sums_a_round_at_a_time_from_the_wide_threshold(
-        wide, monkeypatch):
-    # fill gets arms x rounds either way: a view of a rounds-major block
-    # (arms contiguous) on a wide grid, an arms-major one on a narrow grid
-    n = evaluate._WIDE - 1 + wide
+@pytest.mark.parametrize("n", [1, 9, 1089])
+def test_replay_sums_a_round_at_a_time_at_every_width(n, monkeypatch):
+    # fill gets arms x rounds as a view of a rounds-major block (arms
+    # contiguous), however few the arms
     grid = (np.arange(n) / n).reshape(-1, 1)
     fill, strides = RewardTable.fill, []
 
@@ -366,10 +373,64 @@ def test_replay_sums_a_round_at_a_time_from_the_wide_threshold(
         return fill(self, rounds, out, tmp)
 
     monkeypatch.setattr(RewardTable, "fill", spy)
+    monkeypatch.setattr(evaluate, "_CELLS", 9701)
     T = 3 * (evaluate._CELLS // n) + 5  # four blocks, the last partial
     evaluate._replay(stochastic(BUMPS[0], "bernoulli")(T), grid, T)
     assert len(strides) == 4
-    assert all((s[0] < s[1]) == wide for s in strides)
+    assert all(s == (8, 8 * n) for s in strides)
+
+
+def assert_regret_needs_no_curves(env, grid, T):
+    rewards = np.random.default_rng(T).random(T)
+    got = regret(synthetic_trace(rewards), env, grid=grid)
+    want = regret(synthetic_trace(rewards), env, grid=grid, curves=True)
+    for name in ("regret", "best_total", "alg_total"):
+        assert getattr(got, name).hex() == getattr(want, name).hex(), name
+    assert [x.hex() for x in got.best_arm] == [x.hex() for x in want.best_arm]
+    assert got.to_dict() == want.to_dict()
+    assert got.regret_curve is None and want.regret_curve is not None
+
+
+@pytest.mark.parametrize("T", [1, BLOCK - 3, BLOCK, 2 * BLOCK + 1])
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_regret_from_totals_equals_regret_from_curves(case, T):
+    make, grid = REPLAY_CASES[case]
+    assert_regret_needs_no_curves(make(T), grid, T)
+
+
+@pytest.mark.parametrize("T", [1, BLOCK - 3, 2 * BLOCK + 1])
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_regret_from_totals_equals_regret_from_curves_in_small_blocks(
+        case, T, monkeypatch):
+    monkeypatch.setattr(evaluate, "_CELLS", 9701)
+    monkeypatch.setattr(evaluate, "_CHUNK", 1000)
+    test_regret_from_totals_equals_regret_from_curves(case, T)
+
+
+@pytest.mark.parametrize("noise", ["bernoulli", "none", "gauss"])
+@pytest.mark.parametrize("kind", ["stochastic", "combined"])
+def test_regret_from_totals_equals_regret_from_curves_at_means_0_and_1(
+        kind, noise):
+    env = unit_bumps(noise, kind)
+    for T in (1, 80):
+        assert_regret_needs_no_curves(env, grid_points(1, 1 / 12), T)
+
+
+def test_prices_are_hit_counts_only_on_a_lattice_that_stays_exact():
+    env = PricingEnv("uniform", {"a": 0.0, "b": 1.0}, seed=2)
+    # multiples of 2^-2 up to 3 x 2^-2: exact while 3 T < 2^53
+    table = RewardTable(env, [[0.5], [0.0], [0.75]])
+    T = (2**53 + 1) // 3
+    assert table.hit_values(T - 1).tolist() == [0.5, 0.0, 0.75]
+    assert table.hit_values(T) is None
+    grid = grid_points(1, 1 / 1024)
+    longest = evaluate.MAX_EVALS // len(grid)
+    assert RewardTable(env, grid).hit_values(longest).tolist() == \
+        grid[:, 0].tolist()
+    for xs in ([[0.1]], [[0.5], [1 / 3]], [[2.0 ** -60], [0.5]]):
+        assert RewardTable(env, xs).hit_values(64) is None
+    assert RewardTable(env, [[2.0 ** -60]]).hit_values(64).tolist() == \
+        [2.0 ** -60]
 
 
 def test_replay_memory_does_not_grow_with_the_horizon():
