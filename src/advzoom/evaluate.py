@@ -85,63 +85,40 @@ def _blocks(table, T: int, B: int):
                                             for a in chunk)
 
 
-def _replay(env, grid: np.ndarray, T: int):
-    """The per-round curve pass, run for regret's curves only: (cum_best,
-    totals), with cum_best[t-1] the max over grid arms of their cumulative
-    reward through round t and totals theirs at T.  Blocks of every grid
-    arm x _CELLS // n rounds fill two buffers allocated once, so memory
-    does not grow with T.  A block is laid out rounds x arms, and each
-    round's row is added to the one before it, starting from the previous
-    block's last row, so every partial sum is the same IEEE addition, in
-    order, as one cumsum over T rounds.  On narrow grids the call per
-    round dominates: about 70 ns per arm-round on 9 arms, against 5 on
-    1089 (Bernoulli noise, 2 vCPUs).
-    """
-    n = len(grid)
-    if n == 0:
-        raise ValueError("empty evaluation grid: no arm to replay")
-    cum_best = np.full(T, -np.inf)
-    table = RewardTable(env, grid)
-    B = min(T, max(1, _CELLS // n))
-    buf, tmp = np.empty(n * B), np.empty(n * B, dtype=np.uint64)
-    rows = list(buf.reshape(B, n))  # views made once
-    for t0, k, rounds in _blocks(table, T, B):
-        rb = buf[:n * k].reshape(k, n)
-        table.fill(rounds, rb.T, tmp[:n * k].reshape(k, n).T)
-        if t0:
-            rb[0] += carry
-        for prev, row in zip(rows, rows[1:k]):
-            np.add(prev, row, row)
-        best = cum_best[t0:t0 + k]
-        np.maximum(best, rb.max(axis=1), out=best)
-        carry = rb[-1].copy()
-    return cum_best, carry
-
-
-def _totals(env, grid: np.ndarray, ts) -> np.ndarray:
+def _replay(env, grid, ts, best=None) -> np.ndarray:
     """(n_grid, len(ts)) totals of every grid arm through each of the
-    ascending end-times ts, with no per-round curve: the pass behind
-    regret's scalars and gaps_at.  Blocks of _CELLS // n rounds (see
-    _blocks) are laid out rounds x arms, and their rows are summed in runs
-    cut at every end-time: the carry goes into a run's first row, and one
-    np.add.reduce down the rounds sums the run into it.  numpy sums
-    pairwise along a contiguous axis, so a one-arm run takes a cumsum
-    instead, and the rows add in order, as in _replay.  When the table has
-    hit values (Bernoulli noise, or prices on a fine enough lattice: see
-    RewardTable.hit_values), hits are counted instead, as booleans summed
-    255 rows at most as uint8 into an int64 carry, and each total is its
-    count times the arm's hit value, the in-order float sum bit for bit."""
-    n = len(grid)
-    if n == 0:
-        raise ValueError("empty evaluation grid: no arm to replay")
-    table, B = RewardTable(env, grid), min(ts[-1], max(1, _CELLS // n))
-    value = table.hit_values(ts[-1])
+    ascending end-times ts; given best, a float array of ts[-1] rounds,
+    best[t-1] also gets the max over grid arms of their cumulative reward
+    through round t.  Blocks of _CELLS // n rounds (see _blocks) fill
+    buffers allocated once, so memory does not grow with T.  A block is
+    laid out rounds x arms, and its rows are summed in runs cut at every
+    end-time, the carry added into a run's first row.  With best, each
+    row is added to the one before it, one add across every arm per
+    round, and a block's running sums give best its rows' maxima.
+    Without it, one np.add.reduce down the rounds sums a run into the
+    carry; numpy sums pairwise along a contiguous axis, so the rows add in
+    order, and a one-arm run takes a cumsum instead.  Every sum is then
+    the same IEEE addition, in order, as one cumsum over the rounds.  When
+    the table has hit values (Bernoulli noise, or prices on a fine enough
+    lattice: see RewardTable.hit_values) and best is not asked for, hits
+    are counted instead, as booleans summed 255 rows at most as uint8 into
+    an int64 carry, and each total is its count times the arm's hit value,
+    the in-order float sum bit for bit."""
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 2 or grid.shape[1] != env.d or not grid.size:
+        what = "evaluation grid" if grid.size else "empty evaluation grid"
+        raise ValueError(f"{what} of shape {grid.shape} at d={env.d}: need "
+                         f"an (n, {env.d}) array of n >= 1 arms to replay")
+    n, T = len(grid), ts[-1]
+    table, B = RewardTable(env, grid), min(T, max(1, _CELLS // n))
+    value = table.hit_values(T) if best is None else None
     hits = value is not None
     buf = np.empty(n * B, dtype=bool if hits else np.float64)
     tmp = np.empty((1 + hits, n * B), dtype=np.uint64)
+    rows = [] if best is None else list(buf.reshape(B, n))  # views made once
     totals, j, count = np.empty((n, len(ts))), 0, np.empty(n, dtype=np.uint8)
     carry = np.zeros(n, dtype=np.int64 if hits else np.float64)
-    for lo, k, rounds in _blocks(table, ts[-1], B):
+    for lo, k, rounds in _blocks(table, T, B):
         rb = buf[:n * k].reshape(k, n)
         rt = tmp[:, :n * k].reshape(-1, k, n).transpose(0, 2, 1)
         table.fill(rounds, rb.T, rt if hits else rt[0])
@@ -156,13 +133,19 @@ def _totals(env, grid: np.ndarray, ts) -> np.ndarray:
             else:
                 if lo + a:
                     rb[a] += carry
-                if n > 1:
+                if best is not None:
+                    for prev, row in zip(rows[a:c], rows[a + 1:c]):
+                        np.add(prev, row, row)
+                    carry[:] = rb[c - 1]
+                elif n > 1:
                     np.add.reduce(rb[a:c], axis=0, out=carry)
                 else:
                     carry[:] = np.cumsum(rb[a:c, 0])[-1]
             if lo + c == ts[j]:
                 totals[:, j], j = carry, j + 1
             a = c
+        if best is not None:
+            np.max(rb, axis=1, out=best[lo:lo + k])
     if hits:
         totals *= value[:, None]
     return totals
@@ -200,10 +183,9 @@ def regret(trace: Trace, env, grid_eps: Optional[float] = None,
     The environment is replayed exactly (oblivious rewards), so the only
     approximation is the grid itself; the T * grid_eps Lipschitz slack is
     attached to the report; grid_eps_for spaces the grid unless one is given.
-    The scalars come from the grid arms' totals at T (_totals).  The
-    per-round curves cum_alg, cum_best and regret_curve are None unless
-    curves is set; then the curve pass (_replay) gives the totals too, the
-    same bits.
+    The scalars come from the grid arms' totals at T, and the per-round
+    curves cum_alg, cum_best and regret_curve are None unless curves is
+    set; one replay (_replay) gives both.
     """
     T = trace.n_rounds
     if grid is None:
@@ -215,8 +197,8 @@ def regret(trace: Trace, env, grid_eps: Optional[float] = None,
         if len(grid) * T > MAX_EVALS:
             raise ValueError(f"grid too large: {len(grid)} arms x {T} "
                              f"rounds > {MAX_EVALS} evaluations")
-    cum_best, totals = (_replay(env, grid, T) if curves
-                        else (None, _totals(env, grid, [T])[:, 0]))
+    cum_best = np.empty(T) if curves else None
+    totals = _replay(env, grid, [T], cum_best)[:, 0]
     cum_alg = np.cumsum(trace.rewards())
     best_idx = int(np.argmax(totals))
     return RegretReport(
@@ -244,7 +226,7 @@ def gaps_at(env, grid: np.ndarray, ts) -> np.ndarray:
 
     gap_t(x) = (max_y sum_{tau<=t} g_tau(y) - sum_{tau<=t} g_tau(x)) / t,
     with the max taken over the same grid; ts holds ints >= 1, at least
-    one.  The totals come from _totals, whose buffers are freed on return.
+    one.  The totals come from _replay, whose buffers are freed on return.
     """
     ts = list(ts)
     bad = [t for t in ts if isinstance(t, bool)
@@ -253,7 +235,7 @@ def gaps_at(env, grid: np.ndarray, ts) -> np.ndarray:
         raise ValueError("end-times must be ints >= 1, got "
                          + (repr(bad[0]) if bad else "none"))
     ts = sorted(set(map(int, ts)))
-    totals = _totals(env, grid, ts)
+    totals = _replay(env, grid, ts)
     best = totals.max(axis=0)
     return (best[None, :] - totals) / np.asarray(ts)[None, :]
 
@@ -276,11 +258,11 @@ def eps_optimal_set(env, grid: np.ndarray, eps_ladder, T: int) -> list:
 
     An arm qualifies for eps if its adversarial gap drops below
     30 eps ln(T) sqrt(d ln(n_dbl T)) at some end-time on the geometric
-    ladder past eps^-2 / 9, with d the grid's dimension and the cube's
+    ladder past eps^-2 / 9, with d = env.d and the cube's
     doubling constant n_dbl = 2^d.  All ladders share one replay: the gaps
     are taken once at the union of their end-times.
     """
-    d = grid.shape[1]
+    d = env.d
     ladders = [eps_ladder_times(eps, T) for eps in eps_ladder]
     ts = sorted(set().union(*ladders))
     gaps = gaps_at(env, grid, ts) if ts else np.zeros((len(grid), 0))

@@ -384,7 +384,6 @@ def test_bad_grid_eps_fails_before_any_replay_or_file(
 
     monkeypatch.setattr(cli, "run_one_seed", never)
     monkeypatch.setattr(evaluate, "_replay", never)
-    monkeypatch.setattr(evaluate, "_totals", never)
     raw = base_config(T=T, space={"kind": "cube", "d": d},
                       env=TENT_D2 if d == 2 else {"kind": "distance_to_target"})
     msg = f"grid_eps={grid_eps!r} at d={d}"

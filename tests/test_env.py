@@ -491,8 +491,9 @@ def test_none_noise_draws_nothing(kind, monkeypatch):
     monkeypatch.setattr(env_module, "splitmix64", draw)
     assert env.reward_block(np.arange(1, 65), grid).tobytes() == \
         means.tobytes()
-    _, totals = evaluate._replay(env, grid, 64)
-    assert totals.tobytes() == means.cumsum(axis=1)[:, -1].tobytes()
+    for best in None, np.empty(64):
+        totals = evaluate._replay(env, grid, [64], best)[:, 0]
+        assert totals.tobytes() == means.cumsum(axis=1)[:, -1].tobytes()
 
 
 # -- dynamic pricing ----------------------------------------------------------

@@ -100,14 +100,23 @@ def test_regret_guard_on_grid_size():
 
 def test_an_empty_grid_is_named_by_every_replay_caller():
     env = det_env(([0, 1], [0.5, 0.5]))
-    empty = np.zeros((0, 1))
     assert eps_ladder_times(0.1, 64)  # so eps_optimal_set replays
-    with pytest.raises(ValueError, match="empty evaluation grid"):
-        regret(synthetic_trace([0.5] * 5), env, grid=empty)
-    with pytest.raises(ValueError, match="empty evaluation grid"):
-        gaps_at(env, empty, [5])
-    with pytest.raises(ValueError, match="empty evaluation grid"):
-        eps_optimal_set(env, empty, [0.1], 64)
+    # malformed grids too, by shape; regret reads a 1-D grid as one arm
+    for grid, shape, regret_shape in [
+            (np.zeros((0, 1)), "empty evaluation grid of shape (0, 1)", None),
+            ([], "empty evaluation grid of shape (0,)",
+             "empty evaluation grid of shape (1, 0)"),
+            ([[0.1, 0.2]], "evaluation grid of shape (1, 2)", None),
+            (np.array([0.25, 0.75]), "evaluation grid of shape (2,)",
+             "evaluation grid of shape (1, 2)")]:
+        named = re.escape(f"{shape} at d=1")
+        with pytest.raises(ValueError, match=named):
+            gaps_at(env, grid, [5])
+        with pytest.raises(ValueError, match=named):
+            eps_optimal_set(env, grid, [0.1], 64)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{regret_shape or shape} at d=1")):
+            regret(synthetic_trace([0.5] * 5), env, grid=grid)
 
 
 def old_cli_grid_eps(d, T):
@@ -338,13 +347,12 @@ def test_blocked_replay_is_bit_identical_to_one_pass(case, T):
     env = make(T)
     cps = sorted({t for t in (1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1)
                   if t <= T} | {T})
-    want = single_pass_replay(env, grid, T)
-    got = evaluate._replay(env, grid, T)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
-    want = single_pass_replay(env, grid, T, cps)[1]
-    got = evaluate._totals(env, grid, cps)
+    want_best, want = single_pass_replay(env, grid, T, cps)
+    best = np.empty(T)
+    got = evaluate._replay(env, grid, cps, best)
     assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == evaluate._replay(env, grid, cps).tobytes()
+    assert np.array_equal(best, want_best)
 
 
 @pytest.mark.parametrize("T", [1, BLOCK - 3, BLOCK, 2 * BLOCK + 1])
@@ -375,7 +383,8 @@ def test_replay_sums_a_round_at_a_time_at_every_width(n, monkeypatch):
     monkeypatch.setattr(RewardTable, "fill", spy)
     monkeypatch.setattr(evaluate, "_CELLS", 9701)
     T = 3 * (evaluate._CELLS // n) + 5  # four blocks, the last partial
-    evaluate._replay(stochastic(BUMPS[0], "bernoulli")(T), grid, T)
+    evaluate._replay(stochastic(BUMPS[0], "bernoulli")(T), grid, [T],
+                     np.empty(T))
     assert len(strides) == 4
     assert all(s == (8, 8 * n) for s in strides)
 
